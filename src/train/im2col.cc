@@ -299,24 +299,26 @@ Tensor im2col(const Tensor& x, int kernel_h, int kernel_w, int stride,
   const int oh = out_dim(ih, kernel_h, stride, pad_h);
   const int ow = out_dim(iw, kernel_w, stride, pad_w);
   Tensor cols({n * oh * ow, ci * kernel_h * kernel_w});  // zero-initialized
-  im2col_into(x, kernel_h, kernel_w, stride, pad_h, pad_w, cols.data());
+  im2col_into(x, kernel_h, kernel_w, stride, pad_h, pad_w, 0, n,
+              cols.data());
   return cols;
 }
 
 void im2col_into(const Tensor& x, int kernel_h, int kernel_w, int stride,
-                 int pad_h, int pad_w, float* cd) {
-  assert(x.ndim() == 4);
+                 int pad_h, int pad_w, int first, int count, float* cd) {
+  assert(x.ndim() == 4 && first >= 0 && first + count <= x.dim(0));
   util::ScopedKernelTimer timer(util::KernelKind::kIm2col);
-  const int n = x.dim(0), ci = x.dim(1), ih = x.dim(2), iw = x.dim(3);
+  const int ci = x.dim(1), ih = x.dim(2), iw = x.dim(3);
   const int oh = out_dim(ih, kernel_h, stride, pad_h);
   const int ow = out_dim(iw, kernel_w, stride, pad_w);
   const int k = ci * kernel_h * kernel_w;
   const float* xd = x.data();
   util::parallel_for(
-      static_cast<std::int64_t>(n) * oh * ow, row_grain(k),
+      static_cast<std::int64_t>(count) * oh * ow, row_grain(k),
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t row = begin; row < end; ++row) {
-          const int b = static_cast<int>(row / (static_cast<std::int64_t>(oh) * ow));
+          const int b = first + static_cast<int>(
+                                    row / (static_cast<std::int64_t>(oh) * ow));
           const int rest = static_cast<int>(row % (static_cast<std::int64_t>(oh) * ow));
           const int yh = rest / ow, yw = rest % ow;
           float* out = cd + row * k;

@@ -61,12 +61,13 @@ Tensor kxn_to_conv_weights(const Tensor& m, int co, int ci, int kh, int kw);
 // arena scratch), so a steady-state training step never touches the heap.
 // Each mirrors its Tensor-returning namesake bit for bit.
 
-/// im2col into `cols` (n*oh*ow rows of ci*kh*kw floats). Only in-bounds
-/// receptive-field entries are written: the caller must hand either freshly
-/// zeroed memory or a buffer reused from a pass with the SAME geometry
-/// (padding positions only ever hold zeros, so they stay correct).
+/// im2col of samples [first, first+count) of x into `cols` (count*oh*ow
+/// rows of ci*kh*kw floats). Only in-bounds receptive-field entries are
+/// written: the caller must hand either freshly zeroed memory or a buffer
+/// reused from a pass with the SAME geometry (padding positions only ever
+/// hold zeros, so they stay correct). A negative pad crops instead.
 void im2col_into(const Tensor& x, int kernel_h, int kernel_w, int stride,
-                 int pad_h, int pad_w, float* cols);
+                 int pad_h, int pad_w, int first, int count, float* cols);
 
 /// C[M,N] = A[M,K] * B[N,K]^T, float accumulation seeded per column from
 /// `init` (nullptr = 0): the raw form of matmul_bt_f32.

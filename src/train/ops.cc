@@ -6,9 +6,10 @@
 // approximately: the forward GEMM accumulates in float starting from the
 // bias with K traversed in the original (c, r, s) order
 // (matmul_bt_f32), the weight-gradient GEMM sums rows in the original
-// (b, yh, yw) order (matmul_at), and the data-gradient scatter keeps the
-// seed's per-element addend sequence (two implementations, dispatched on
-// dY density — see the scatter_dx_* kernels). The zero-redundancy layer
+// (b, yh, yw) order (matmul_at), and the stride-1 data gradient is a
+// transposed-conv GEMM over im2col(dY) whose K order is the seed
+// scatter's per-element addend sequence (dgrad_gemm_s1; strided and
+// narrow layers keep the scatter, same sequence). The zero-redundancy layer
 // on top (PR 4): conv2d_forward_into records its im2col lowering in a
 // per-layer ConvCache that conv2d_backward_into consumes, all scratch is
 // workspace-arena memory, and outputs land in step-persistent caller
@@ -52,107 +53,12 @@ struct ConvGeom {
   int n, ci, ih, iw, co, kh, kw, oh, ow, stride, pad;
 };
 
-/// The seed's data-gradient scatter, kept verbatim for sparse dY: its
-/// `d == 0` skip drops whole receptive fields, which wins when the
-/// incoming gradient is ReLU-sparsified (the no-norm training runs).
-void scatter_dx_sparse(const ConvGeom& g, const float* dyd, const float* wd,
-                       float* dxd) {
-  const std::int64_t x_hw = static_cast<std::int64_t>(g.ih) * g.iw;
-  const std::int64_t y_hw = static_cast<std::int64_t>(g.oh) * g.ow;
-  util::parallel_for(g.n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b)
-      for (int o = 0; o < g.co; ++o) {
-        const float* dy_plane = dyd + (b * g.co + o) * y_hw;
-        for (int yh = 0; yh < g.oh; ++yh) {
-          const int xh0 = yh * g.stride - g.pad;
-          const int r_lo = xh0 < 0 ? -xh0 : 0;
-          const int r_hi = g.ih - xh0 < g.kh ? g.ih - xh0 : g.kh;
-          for (int yw = 0; yw < g.ow; ++yw) {
-            const float d =
-                dy_plane[static_cast<std::int64_t>(yh) * g.ow + yw];
-            if (d == 0.0f) continue;
-            const int xw0 = yw * g.stride - g.pad;
-            const int s_lo = xw0 < 0 ? -xw0 : 0;
-            const int s_hi = g.iw - xw0 < g.kw ? g.iw - xw0 : g.kw;
-            for (int c = 0; c < g.ci; ++c)
-              for (int r = r_lo; r < r_hi; ++r) {
-                const float* w_row =
-                    wd +
-                    ((static_cast<std::int64_t>(o) * g.ci + c) * g.kh + r) *
-                        g.kw;
-                float* dx_row = dxd + (b * g.ci + c) * x_hw +
-                                static_cast<std::int64_t>(xh0 + r) * g.iw +
-                                xw0;
-                for (int s = s_lo; s < s_hi; ++s)
-                  dx_row[s] += d * w_row[s];
-              }
-          }
-        }
-      }
-  });
-}
-
-/// Dense stride-1 scatter: per weight tap (r, s) the update is a shifted
-/// plane axpy dx[yh + r-pad, yw + s-pad] += dy[yh, yw] * w[o,c,r,s], which
-/// vectorizes over whole rows (and over whole planes when the columns
-/// align). Bit-identity with the seed nest: for a fixed dx element the
-/// addend sequence is still o-major then (yh, yw)-lexicographic, because r
-/// and s are iterated DESCENDING (element yh = xh - r + pad rises as r
-/// falls, yw likewise), and the dropped `d == 0` skip only removes +/-0
-/// addends, which cannot change any finite accumulation (same contract as
-/// the GEMM paths' dropped zero skips, see im2col.cc).
-void scatter_dx_dense_s1(const ConvGeom& g, const float* dyd, const float* wd,
-                         float* dxd) {
-  const std::int64_t x_hw = static_cast<std::int64_t>(g.ih) * g.iw;
-  const std::int64_t y_hw = static_cast<std::int64_t>(g.oh) * g.ow;
-  util::parallel_for(g.n, 1, [&](std::int64_t b0, std::int64_t b1) {
-    for (std::int64_t b = b0; b < b1; ++b)
-      for (int o = 0; o < g.co; ++o) {
-        const float* dy_plane = dyd + (b * g.co + o) * y_hw;
-        for (int c = 0; c < g.ci; ++c) {
-          const float* w_plane =
-              wd + (static_cast<std::int64_t>(o) * g.ci + c) * g.kh * g.kw;
-          float* dx_plane = dxd + (b * g.ci + c) * x_hw;
-          for (int r = g.kh - 1; r >= 0; --r) {
-            const int dr = r - g.pad;  // xh = yh + dr
-            const int yh_lo = dr < 0 ? -dr : 0;
-            const int yh_hi = g.oh < g.ih - dr ? g.oh : g.ih - dr;
-            if (yh_hi <= yh_lo) continue;
-            for (int s = g.kw - 1; s >= 0; --s) {
-              const float wv = w_plane[static_cast<std::int64_t>(r) * g.kw + s];
-              const int ds = s - g.pad;  // xw = yw + ds
-              const int yw_lo = ds < 0 ? -ds : 0;
-              const int yw_hi = g.ow < g.iw - ds ? g.ow : g.iw - ds;
-              if (yw_hi <= yw_lo) continue;
-              if (ds == 0 && g.iw == g.ow) {
-                // Columns align: the rows form one contiguous run.
-                const float* src = dy_plane +
-                                   static_cast<std::int64_t>(yh_lo) * g.ow;
-                float* dst =
-                    dx_plane + static_cast<std::int64_t>(yh_lo + dr) * g.iw;
-                const std::int64_t len =
-                    static_cast<std::int64_t>(yh_hi - yh_lo) * g.ow;
-                for (std::int64_t t = 0; t < len; ++t) dst[t] += src[t] * wv;
-                continue;
-              }
-              const int len = yw_hi - yw_lo;
-              for (int yh = yh_lo; yh < yh_hi; ++yh) {
-                const float* src =
-                    dy_plane + static_cast<std::int64_t>(yh) * g.ow + yw_lo;
-                float* dst = dx_plane +
-                             static_cast<std::int64_t>(yh + dr) * g.iw +
-                             yw_lo + ds;
-                for (int t = 0; t < len; ++t) dst[t] += src[t] * wv;
-              }
-            }
-          }
-        }
-      }
-  });
-}
-
-/// General-stride fallback (dense): per tap, strided row updates in the
-/// same r/s-descending order.
+/// The scatter data gradient, for strided convolutions and for inputs too
+/// narrow for the GEMM below: per weight tap, strided row updates
+/// dx[xh0 + r, yw*stride - pad + s] += dy[yh, yw] * w[o, c, r, s]. For a
+/// fixed dx element the addend sequence is the seed nest's — o-major, then
+/// (yh, yw)-lexicographic — because s is iterated DESCENDING (the visited
+/// yw rises as s falls). `dxd` must start zeroed.
 void scatter_dx_dense(const ConvGeom& g, const float* dyd, const float* wd,
                       float* dxd) {
   const std::int64_t x_hw = static_cast<std::int64_t>(g.ih) * g.iw;
@@ -193,6 +99,61 @@ void scatter_dx_dense(const ConvGeom& g, const float* dyd, const float* wd,
         }
       }
   });
+}
+
+/// Below this many input channels the transposed-conv GEMM's N = ci
+/// columns fill less than one 8-lane vector, and the scatter is as fast
+/// or faster (5x at ci = 1); at ci = 16 the GEMM is 4x faster.
+constexpr int kDgradGemmMinChannels = 8;
+
+/// Samples of dY lowered per GEMM call: bounds the lowering scratch (and
+/// so the arena high-water mark) without shrinking the GEMM below the
+/// MBS-chunk shape.
+constexpr int kDgradBlockSamples = 8;
+
+/// Stride-1 data gradient as a transposed convolution on the GEMM path:
+///   dx_rows = im2col(dY, kh, kw, stride 1, pad' = k-1-pad) * Wflip^T,
+///   Wflip[c, (o, r', s')] = w[o, c, kh-1-r', kw-1-s'],
+/// then repacked to NCHW. Tap r' of dx row xh reads dY row
+/// yh = xh + r' - pad', i.e. original tap r = kh-1-r' — so each dx
+/// element's K pass (o, r' ascending, s' ascending) visits
+/// o-major, then (yh, yw)-lexicographic: the seed scatter's addend
+/// sequence, in float, from +0.0. Padded taps add +/-0, which leaves a
+/// never -0.0 accumulator unchanged (the argument of im2col.cc's dropped
+/// zero skips). col2im over dY * W would instead pre-reduce over o.
+void dgrad_gemm_s1(const ConvGeom& g, const Tensor& dy, const float* wd,
+                   Tensor& dx) {
+  const int ph = g.kh - 1 - g.pad, pw = g.kw - 1 - g.pad;
+  const int taps = g.kh * g.kw;
+  const int k = g.co * taps;
+  const std::int64_t x_hw = static_cast<std::int64_t>(g.ih) * g.iw;
+  const int block = g.n < kDgradBlockSamples ? g.n : kDgradBlockSamples;
+
+  util::ArenaScope scope;
+  float* wflip = scope.floats(static_cast<std::int64_t>(g.ci) * k);
+  for (int c = 0; c < g.ci; ++c)
+    for (int o = 0; o < g.co; ++o) {
+      const float* src =
+          wd + (static_cast<std::int64_t>(o) * g.ci + c) * taps;
+      float* dst = wflip + static_cast<std::int64_t>(c) * k +
+                   static_cast<std::int64_t>(o) * taps;
+      for (int t = 0; t < taps; ++t) dst[t] = src[taps - 1 - t];
+    }
+
+  // One zeroed lowering buffer serves every block: all blocks share the
+  // geometry, so the padding positions im2col_into never writes stay zero.
+  const std::int64_t cols_n = block * x_hw * k;
+  float* cols = scope.floats(cols_n);
+  std::memset(cols, 0, static_cast<std::size_t>(cols_n) * sizeof(float));
+  float* dx_rows = scope.floats(g.n * x_hw * g.ci);
+  for (int b0 = 0; b0 < g.n; b0 += block) {
+    const int nb = g.n - b0 < block ? g.n - b0 : block;
+    im2col_into(dy, g.kh, g.kw, 1, ph, pw, b0, nb, cols);
+    matmul_bt_f32_into(cols, nb * x_hw, wflip, g.ci, k, nullptr,
+                       dx_rows + b0 * x_hw * g.ci);
+  }
+  dx.ensure_shape({g.n, g.ci, g.ih, g.iw});
+  rows_to_nchw_into(dx_rows, dx);
 }
 
 }  // namespace
@@ -242,7 +203,7 @@ void conv2d_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
                 static_cast<std::size_t>(rows) * k * sizeof(float));
     if (cache) cache->valid = false;
   }
-  im2col_into(x, kh, kw, stride, pad, pad, cols);
+  im2col_into(x, kh, kw, stride, pad, pad, 0, n, cols);
 
   // W is already the [Co, Ci*Kh*Kw] GEMM operand in row-major memory; no
   // reshaped copy needed. C [N*Ho*Wo, Co] is arena scratch.
@@ -286,7 +247,7 @@ void conv2d_backward_into(const Tensor& x, const Tensor& w, const Tensor& dy,
     float* scratch = scope.floats(static_cast<std::int64_t>(rows) * k);
     std::memset(scratch, 0,
                 static_cast<std::size_t>(rows) * k * sizeof(float));
-    im2col_into(x, kh, kw, stride, pad, pad, scratch);
+    im2col_into(x, kh, kw, stride, pad, pad, 0, n, scratch);
     cols = scratch;
   }
 
@@ -301,29 +262,17 @@ void conv2d_backward_into(const Tensor& x, const Tensor& w, const Tensor& dy,
 
   if (!need_dx) return;
 
-  // Data gradient. The GEMM formulation (dY * W scattered with col2im)
-  // pre-reduces over output channels and would change the per-element
-  // float summation order, so the computation stays a scatter over the
-  // seed's per-element addend sequence (o-major, then (yh, yw)-
-  // lexicographic; see the scatter_dx_* kernels above). Two bit-identical
-  // implementations cover the density extremes, so the dispatch below is
-  // value-dependent but result-invariant: ReLU-sparsified gradients (the
-  // no-norm training runs) keep the seed loop whose `d == 0` skip drops
-  // whole receptive fields, while dense gradients take the vectorized
-  // shifted-plane form.
-  g.dx.ensure_zeroed({n, ci, ih, iw});
+  // Data gradient: the transposed-conv GEMM where the GEMM is wide enough,
+  // else the scatter. The choice depends on shape only, and both keep the
+  // seed's per-element addend sequence, so it is bit-invisible.
   const ConvGeom geom{n,  ci, ih,     iw, co, kh,
                       kw, oh, ow, stride, pad};
-  const float* dyd = dy.data();
-  std::int64_t zeros = 0;
-  const std::int64_t dy_n = dy.size();
-  for (std::int64_t i = 0; i < dy_n; ++i) zeros += dyd[i] == 0.0f;
-  if (3 * zeros >= dy_n)
-    scatter_dx_sparse(geom, dyd, w.data(), g.dx.data());
-  else if (stride == 1)
-    scatter_dx_dense_s1(geom, dyd, w.data(), g.dx.data());
-  else
-    scatter_dx_dense(geom, dyd, w.data(), g.dx.data());
+  if (stride == 1 && ci >= kDgradGemmMinChannels) {
+    dgrad_gemm_s1(geom, dy, w.data(), g.dx);
+    return;
+  }
+  g.dx.ensure_zeroed({n, ci, ih, iw});
+  scatter_dx_dense(geom, dy.data(), w.data(), g.dx.data());
 }
 
 MaxPoolResult maxpool_forward(const Tensor& x, int kernel, int stride) {

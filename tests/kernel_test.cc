@@ -13,7 +13,10 @@
 // each other and to the naive references on remainder-heavy shapes, an
 // MBS_KERNEL=avx2 request on a host without AVX2 must fall back cleanly,
 // and the raw-pointer norm-loop rewrite must equal the legacy Tensor::at()
-// form bit for bit.
+// form bit for bit. The conv data gradient (transposed-conv GEMM or
+// scatter, chosen by shape) is memcmp-checked against the seed scatter
+// nest across strides, pads, kernels, channel and batch counts, dY
+// densities, thread budgets and both ISA families.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +25,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/arena.h"
@@ -791,6 +795,106 @@ TEST(KernelDispatch, DefaultResolutionPrefersAvx2WhenSupported) {
   else
     EXPECT_EQ(active_gemm_isa(), util::KernelIsa::kPortable);
 }
+
+// ---- Data gradient: every production form == the seed scatter nest --------
+
+/// The seed's data-gradient scatter, verbatim (serial): for each dx
+/// element the addends arrive o-major, then (yh, yw)-lexicographic, and
+/// `d == 0` skips whole receptive fields. conv2d_backward_into must
+/// reproduce it bit for bit, whichever dgrad form its shape selects.
+Tensor seed_scatter_dx(const Tensor& dy, const Tensor& w,
+                       const std::vector<int>& x_shape, int stride, int pad) {
+  const int n = x_shape[0], ci = x_shape[1], ih = x_shape[2],
+            iw = x_shape[3];
+  const int co = w.dim(0), kh = w.dim(2), kw = w.dim(3);
+  const int oh = dy.dim(2), ow = dy.dim(3);
+  Tensor dx(x_shape);
+  const std::int64_t x_hw = static_cast<std::int64_t>(ih) * iw;
+  const std::int64_t y_hw = static_cast<std::int64_t>(oh) * ow;
+  const float* dyd = dy.data();
+  const float* wd = w.data();
+  float* dxd = dx.data();
+  for (std::int64_t b = 0; b < n; ++b)
+    for (int o = 0; o < co; ++o) {
+      const float* dy_plane = dyd + (b * co + o) * y_hw;
+      for (int yh = 0; yh < oh; ++yh) {
+        const int xh0 = yh * stride - pad;
+        const int r_lo = xh0 < 0 ? -xh0 : 0;
+        const int r_hi = ih - xh0 < kh ? ih - xh0 : kh;
+        for (int yw = 0; yw < ow; ++yw) {
+          const float d = dy_plane[static_cast<std::int64_t>(yh) * ow + yw];
+          if (d == 0.0f) continue;
+          const int xw0 = yw * stride - pad;
+          const int s_lo = xw0 < 0 ? -xw0 : 0;
+          const int s_hi = iw - xw0 < kw ? iw - xw0 : kw;
+          for (int c = 0; c < ci; ++c)
+            for (int r = r_lo; r < r_hi; ++r) {
+              const float* w_row =
+                  wd + ((static_cast<std::int64_t>(o) * ci + c) * kh + r) * kw;
+              float* dx_row = dxd + (b * ci + c) * x_hw +
+                              static_cast<std::int64_t>(xh0 + r) * iw + xw0;
+              for (int s = s_lo; s < s_hi; ++s) dx_row[s] += d * w_row[s];
+            }
+        }
+      }
+    }
+  return dx;
+}
+
+struct DgradGeometry {
+  int stride, pad, k;
+};
+
+class DgradReference : public ::testing::TestWithParam<DgradGeometry> {};
+
+TEST_P(DgradReference, MatchesTheSeedScatterBitForBit) {
+  const DgradGeometry p = GetParam();
+  constexpr int kCo = 12, kH = 7, kW = 6;
+  // One gradient struct for every call: a dx buffer left over from another
+  // shape or dgrad form must never leak into the next result.
+  Conv2dGrads g;
+  IsaGuard isa_guard;
+  BudgetGuard budget_guard;
+  for (int ci : {1, 3, 16, 32})
+    for (int n : {1, 8, 32}) {
+      util::Rng rng(static_cast<std::uint64_t>(1000 * ci + n));
+      const Tensor x = Tensor::randn({n, ci, kH, kW}, rng);
+      const Tensor w = Tensor::randn({kCo, ci, p.k, p.k}, rng, 0.5);
+      const int oh = (kH + 2 * p.pad - p.k) / p.stride + 1;
+      const int ow = (kW + 2 * p.pad - p.k) / p.stride + 1;
+      const Tensor dense = Tensor::randn({n, kCo, oh, ow}, rng);
+      Tensor sparse = dense;  // ~75% zeros, like a ReLU-masked gradient
+      for (std::int64_t i = 0; i < sparse.size(); ++i)
+        if (rng.uniform() < 0.75) sparse[i] = 0.0f;
+      const Tensor zero(dense.shape());
+      const std::pair<const char*, const Tensor*> dys[] = {
+          {"dense", &dense}, {"75%-zero", &sparse}, {"all-zero", &zero}};
+      for (const auto& [density, dy] : dys) {
+        const Tensor ref = seed_scatter_dx(*dy, w, x.shape(), p.stride, p.pad);
+        for (const char* isa : {"portable", "avx2"}) {
+          if (std::strcmp(isa, "avx2") == 0 && !avx2_available()) continue;
+          isa_guard.force(isa);
+          for (int budget : {1, 4}) {
+            util::set_thread_budget(budget);
+            conv2d_backward_into(x, w, *dy, p.stride, p.pad, /*need_dx=*/true,
+                                 /*cache=*/nullptr, g);
+            const std::string tag =
+                "ci=" + std::to_string(ci) + " n=" + std::to_string(n) +
+                " " + density + " " + isa + " budget " +
+                std::to_string(budget) + " dx";
+            expect_bits_equal(g.dx, ref, tag.c_str());
+          }
+        }
+      }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StridePadKernel, DgradReference,
+    ::testing::Values(DgradGeometry{1, 0, 1}, DgradGeometry{1, 1, 1},
+                      DgradGeometry{1, 0, 3}, DgradGeometry{1, 1, 3},
+                      DgradGeometry{2, 0, 1}, DgradGeometry{2, 1, 1},
+                      DgradGeometry{2, 0, 3}, DgradGeometry{2, 1, 3}));
 
 // ---- Norm rewrite: raw-pointer loops == legacy Tensor::at() loops -----------
 

@@ -458,8 +458,8 @@ TEST_P(TransformerSerializationEquivalence, GnGradientsMatchFullBatch) {
   // float32 rounding.
   TinyTransformerConfig cfg;  // norm defaults to kGroup
   cfg.seed = 7;
-  const Dataset data = make_synthetic_dataset(16, 3, 3, 4, /*seed=*/21);
-  const Tensor x = tokens_from_images(data.images);  // 9 tokens = cfg.seq
+  const Dataset data = make_synthetic_dataset(16, 3, 3, 3, /*seed=*/21);
+  const Tensor x = tokens_from_images(data.images);  // 3x3 = 9 tokens = cfg.seq
 
   TinyTransformer full(cfg);
   transformer_gradients(full, x, data.labels, {16});
@@ -489,8 +489,8 @@ TEST(TransformerSerializationDivergence, BnGradientsDifferUnderSerialization) {
   TinyTransformerConfig cfg;
   cfg.norm = NormMode::kBatch;
   cfg.seed = 7;
-  const Dataset data = make_synthetic_dataset(16, 3, 3, 4, 21);
-  const Tensor x = tokens_from_images(data.images);
+  const Dataset data = make_synthetic_dataset(16, 3, 3, 3, 21);
+  const Tensor x = tokens_from_images(data.images);  // cfg.seq tokens
 
   TinyTransformer full(cfg);
   transformer_gradients(full, x, data.labels, {16});
@@ -513,8 +513,8 @@ TEST(Transformer, ForwardShapesAndDeterminism) {
   TinyTransformerConfig cfg;
   cfg.seed = 5;
   TinyTransformer a(cfg), b(cfg);
-  const Dataset data = make_synthetic_dataset(8, 3, 3, 4, 3);
-  const Tensor x = tokens_from_images(data.images);
+  const Dataset data = make_synthetic_dataset(8, 3, 3, 3, 3);
+  const Tensor x = tokens_from_images(data.images);  // cfg.seq tokens
   const Tensor la = a.forward(x);
   const Tensor lb = b.forward(x);
   EXPECT_EQ(la.shape(), (std::vector<int>{8, 4}));
