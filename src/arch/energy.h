@@ -43,6 +43,7 @@ struct EnergyBreakdown {
     const double t = total();
     return t > 0 ? dram_j / t : 0;
   }
+  bool operator==(const EnergyBreakdown&) const = default;
 };
 
 /// Combines activity counts into a step-energy breakdown.

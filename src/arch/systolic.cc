@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
-#include <utility>
 
+#include "arch/vector_ops.h"
 #include "core/network.h"
 #include "sched/schedule.h"
 #include "sched/traffic.h"
@@ -69,36 +68,50 @@ std::vector<GemmShape> attention_gemm_shapes(const core::Layer& layer,
   return {};
 }
 
+namespace {
+
+using core::Layer;
+
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
+
+/// ceil(bytes / per-cycle rate) as whole cycles; 0 when the rate is
+/// unconstrained (rate <= 0 models infinite bandwidth).
+std::int64_t transfer_cycles(double bytes, double bytes_per_cycle) {
+  if (bytes_per_cycle <= 0 || bytes <= 0) return 0;
+  return static_cast<std::int64_t>(std::ceil(bytes / bytes_per_cycle));
+}
+
+}  // namespace
+
 GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape) {
   assert(shape.gh > 0 && shape.gw > 0 && shape.k > 0);
   const std::int64_t m = cfg.tile_m();
   const std::int64_t n = cfg.cols;
   const std::int64_t k_rows = cfg.rows;
 
-  const std::int64_t tiles_h = (shape.gh + m - 1) / m;
-  const std::int64_t tiles_w = (shape.gw + n - 1) / n;
-  const std::int64_t waves = (shape.k + k_rows - 1) / k_rows;
+  const std::int64_t tiles_h = ceil_div(shape.gh, m);
+  const std::int64_t tiles_w = ceil_div(shape.gw, n);
+  const std::int64_t waves = ceil_div(shape.k, k_rows);
 
+  // An m_t x n_t output tile costs row(m_t) + n_t cycles.
+  auto row = [&](std::int64_t m_t) {
+    if (cfg.weight_double_buffering) {
+      // Initial weight fill, then each wave streams m_t rows; the next
+      // wave's weights shift into the second register concurrently, which
+      // only fully hides the k_rows-cycle load when m_t >= k_rows.
+      return k_rows + waves * std::max(m_t, k_rows);
+    }
+    // Every wave pays the full weight shift-in gap (Fig. 8b top).
+    return waves * (k_rows + m_t) + k_rows;
+  };
+  // Every tile is full except the last along each dimension: the grid sum
+  // is tiles_w copies of the row terms plus tiles_h copies of Gw.
+  const std::int64_t edge_h = shape.gh % m;
+  const std::int64_t rows_sum =
+      (shape.gh / m) * row(m) + (edge_h > 0 ? row(edge_h) : 0);
   GemmTiming t;
   t.macs = shape.macs();
-
-  for (std::int64_t th = 0; th < tiles_h; ++th) {
-    const std::int64_t m_t = std::min(m, shape.gh - th * m);
-    for (std::int64_t tw = 0; tw < tiles_w; ++tw) {
-      const std::int64_t n_t = std::min(n, shape.gw - tw * n);
-      std::int64_t cycles;
-      if (cfg.weight_double_buffering) {
-        // Initial weight fill, then each wave streams m_t rows; the next
-        // wave's weights shift into the second register concurrently, which
-        // only fully hides the k_rows-cycle load when m_t >= k_rows.
-        cycles = k_rows + waves * std::max(m_t, k_rows) + n_t;
-      } else {
-        // Every wave pays the full weight shift-in gap (Fig. 8b top).
-        cycles = waves * (k_rows + m_t) + k_rows + n_t;
-      }
-      t.cycles += cycles;
-    }
-  }
+  t.cycles = tiles_w * rows_sum + tiles_h * shape.gw;
 
   // Global-buffer streaming: an A block (m_t x K) is re-read for every tile
   // column; a B block (K x n_t) for every tile row; C written back once in
@@ -112,145 +125,63 @@ GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape) {
   return t;
 }
 
-namespace {
-
-constexpr std::int64_t kElemBytes = 2;  // fp16 operands
-
-/// Skewed-wavefront cycles of one fold: `preload` cycles of stationary-
-/// operand shift-in, then a `stream`-long skewed stream across a
-/// `span_a` x `span_b` mapped region (first result after span_a + span_b - 2
-/// cycles of fill/drain skew).
-std::int64_t fold_cycles(std::int64_t preload, std::int64_t stream,
-                         std::int64_t span_a, std::int64_t span_b) {
-  return preload + stream + span_a + span_b - 2;
-}
-
-void add_fold(GemmCycles* g, std::int64_t cycles, std::int64_t mapped,
-              std::int64_t macs, std::int64_t fold_bytes) {
-  g->comp_cycles += cycles;
-  g->mapped_pe_folds += mapped;
-  g->macs += macs;
-  g->folds += 1;
-  g->max_fold_bytes = std::max(g->max_fold_bytes, fold_bytes);
-}
-
-}  // namespace
-
 GemmCycles simulate_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
                                 const GemmShape& shape) {
   assert(shape.gh > 0 && shape.gw > 0 && shape.k > 0);
+  constexpr std::int64_t kElemBytes = 2;  // fp16 operands
   const std::int64_t R = cfg.rows;
   const std::int64_t C = cfg.cols;
+  const auto [gh, gw, k] = shape;
+
+  // A fold costs preload + stream + span_a + span_b - 2 cycles: stationary-
+  // operand shift-in, then a skewed stream across a span_a x span_b mapped
+  // region. Every fold along a dimension is full except the last, so each
+  // per-fold sum is a tile count times a dimension, and the largest fold
+  // has full tiles (fold bytes only grow with tile size).
   GemmCycles g;
+  g.macs = shape.macs();
 
   if (df == Dataflow::kOutputStationary) {
     // C tiles pinned to the array: Gh folds over rows, Gw over cols, the
     // full reduction streams through each fold with no partial-sum spills.
-    for (std::int64_t h0 = 0; h0 < shape.gh; h0 += R) {
-      const std::int64_t m_t = std::min(R, shape.gh - h0);
-      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
-        const std::int64_t n_t = std::min(C, shape.gw - w0);
-        const std::int64_t cycles = fold_cycles(0, shape.k, m_t, n_t);
-        const std::int64_t fold_elems =
-            m_t * shape.k + shape.k * n_t + m_t * n_t;
-        add_fold(&g, cycles, m_t * n_t, m_t * n_t * shape.k,
-                 kElemBytes * fold_elems);
-        g.bytes.a += kElemBytes * m_t * shape.k;
-        g.bytes.b += kElemBytes * shape.k * n_t;
-        g.bytes.c += kElemBytes * m_t * n_t;
-      }
-    }
+    // Fold (m_t, n_t): preload 0, stream K, spans m_t x n_t.
+    const std::int64_t tiles_h = ceil_div(gh, R);
+    const std::int64_t tiles_w = ceil_div(gw, C);
+    g.folds = tiles_h * tiles_w;
+    g.comp_cycles = g.folds * (k - 2) + tiles_w * gh + tiles_h * gw;
+    g.mapped_pe_folds = gh * gw;
+    g.bytes.a = kElemBytes * k * gh * tiles_w;
+    g.bytes.b = kElemBytes * k * gw * tiles_h;
+    g.bytes.c = kElemBytes * gh * gw;
+    const std::int64_t m_t = std::min(R, gh);
+    const std::int64_t n_t = std::min(C, gw);
+    g.max_fold_bytes = kElemBytes * (m_t * k + k * n_t + m_t * n_t);
     return g;
   }
 
-  // ws/is fold the reduction over the array rows; C[m_t|n_t x span] partial
-  // sums spill to the scratchpad after each fold and are re-read by every
-  // fold after the first along k.
-  for (std::int64_t k0 = 0; k0 < shape.k; k0 += R) {
-    const std::int64_t k_t = std::min(R, shape.k - k0);
-    const std::int64_t psum_rw = k0 == 0 ? 1 : 2;  // write, plus read-back
-    if (df == Dataflow::kWeightStationary) {
-      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
-        const std::int64_t n_t = std::min(C, shape.gw - w0);
-        const std::int64_t cycles = fold_cycles(k_t, shape.gh, k_t, n_t);
-        const std::int64_t fold_elems =
-            k_t * n_t + shape.gh * k_t + shape.gh * n_t;
-        add_fold(&g, cycles, k_t * n_t, k_t * n_t * shape.gh,
-                 kElemBytes * fold_elems);
-        g.bytes.a += kElemBytes * shape.gh * k_t;
-        g.bytes.b += kElemBytes * k_t * n_t;
-        g.bytes.c += kElemBytes * psum_rw * shape.gh * n_t;
-      }
-    } else {
-      for (std::int64_t h0 = 0; h0 < shape.gh; h0 += C) {
-        const std::int64_t m_t = std::min(C, shape.gh - h0);
-        const std::int64_t cycles = fold_cycles(k_t, shape.gw, k_t, m_t);
-        const std::int64_t fold_elems =
-            k_t * m_t + shape.gw * k_t + m_t * shape.gw;
-        add_fold(&g, cycles, k_t * m_t, k_t * m_t * shape.gw,
-                 kElemBytes * fold_elems);
-        g.bytes.a += kElemBytes * k_t * m_t;
-        g.bytes.b += kElemBytes * shape.gw * k_t;
-        g.bytes.c += kElemBytes * psum_rw * m_t * shape.gw;
-      }
-    }
-  }
+  // ws/is fold the reduction over the array rows and one output dimension
+  // over the columns (Gw for ws, Gh for is) while the other streams. Fold
+  // (k_t, t_t): preload k_t, stream the other dimension, spans k_t x t_t.
+  // C partial sums spill after each fold and are re-read by every fold
+  // after the first along k: 1 + 2 (tiles_k - 1) passes.
+  const bool ws = df == Dataflow::kWeightStationary;
+  const std::int64_t tiled = ws ? gw : gh;
+  const std::int64_t streamed = ws ? gh : gw;
+  const std::int64_t tiles_k = ceil_div(k, R);
+  const std::int64_t tiles_t = ceil_div(tiled, C);
+  g.folds = tiles_k * tiles_t;
+  g.comp_cycles = 2 * k * tiles_t + g.folds * (streamed - 2) + tiles_k * tiled;
+  g.mapped_pe_folds = k * tiled;
+  const std::int64_t stationary = kElemBytes * k * tiled;
+  const std::int64_t streaming = kElemBytes * streamed * k * tiles_t;
+  g.bytes.a = ws ? streaming : stationary;
+  g.bytes.b = ws ? stationary : streaming;
+  g.bytes.c = kElemBytes * (2 * tiles_k - 1) * streamed * tiled;
+  const std::int64_t k_t = std::min(R, k);
+  const std::int64_t t_t = std::min(C, tiled);
+  g.max_fold_bytes = kElemBytes * (k_t * t_t + streamed * k_t + streamed * t_t);
   return g;
 }
-
-namespace {
-
-using core::Layer;
-using core::LayerKind;
-
-/// DRAM and buffer bytes of one (block, layer) aggregated by phase.
-/// Lock-step with sim/simulator.cc's aggregation (same map, same key).
-struct LayerBytes {
-  double dram[2] = {0, 0};  ///< indexed by 0 = forward, 1 = backward
-  double buf[2] = {0, 0};
-};
-
-// Vector-unit op counts, duplicated verbatim from sim/simulator.cc's
-// anonymous namespace (arch cannot depend on sim). Keep the two in lock
-// step: the differential harness asserts backend agreement on traffic, and
-// any drift here shows up as unexplained time divergence.
-double vector_ops_fwd(const Layer& l) {
-  return static_cast<double>(l.flops_per_sample());
-}
-
-double vector_ops_bwd(const Layer& l) {
-  switch (l.kind) {
-    case LayerKind::kNorm:
-      return 2.0 * static_cast<double>(l.flops_per_sample());
-    case LayerKind::kAct:
-      return static_cast<double>(l.in.elements());
-    case LayerKind::kPool:
-      return static_cast<double>(l.out.elements());
-    case LayerKind::kAdd:
-    case LayerKind::kConcat:
-      return 0;
-    default:
-      return 0;
-  }
-}
-
-/// Softmax ops of one attention layer, per sample per direction (~4 ops per
-/// score-matrix element: max, exp-subtract, sum, divide — and the backward
-/// Jacobian-vector product costs the same). Duplicated in sim/simulator.cc;
-/// keep in lock step.
-double attention_softmax_ops(const Layer& l) {
-  const double s = static_cast<double>(l.in.h) * l.in.w;
-  return 4.0 * l.heads * s * s;
-}
-
-/// ceil(bytes / per-cycle rate) as whole cycles; 0 when the rate is
-/// unconstrained (rate <= 0 models infinite bandwidth).
-std::int64_t transfer_cycles(double bytes, double bytes_per_cycle) {
-  if (bytes_per_cycle <= 0 || bytes <= 0) return 0;
-  return static_cast<std::int64_t>(std::ceil(bytes / bytes_per_cycle));
-}
-
-}  // namespace
 
 SystolicStepResult simulate_systolic_step(const core::Network& net,
                                           const sched::Schedule& schedule,
@@ -259,13 +190,8 @@ SystolicStepResult simulate_systolic_step(const core::Network& net,
   const SystolicConfig& cfg = p.array;
   const Dataflow df = p.options.dataflow;
 
-  std::map<std::pair<int, int>, LayerBytes> by_layer;
-  for (const sched::TrafficRecord& r : traffic.records) {
-    LayerBytes& lb = by_layer[{r.block, r.layer}];
-    const int ph = r.phase == sched::Phase::kForward ? 0 : 1;
-    lb.dram[ph] += r.dram_read + r.dram_write;
-    lb.buf[ph] += r.buf_read + r.buf_write;
-  }
+  const std::vector<sched::LayerBytes> by_layer =
+      sched::layer_bytes(net, traffic);
 
   const double dram_bpc = p.dram_bw_bytes_per_s > 0
                               ? p.dram_bw_bytes_per_s / cfg.clock_hz
@@ -282,39 +208,50 @@ SystolicStepResult simulate_systolic_step(const core::Network& net,
   OperandBytes stream;
 
   bool first_gemm = true;
+  std::size_t flat = 0;
   for (std::size_t bi = 0; bi < net.blocks.size(); ++bi) {
     const sched::Group& grp = schedule.groups[static_cast<std::size_t>(
         schedule.group_of_block(static_cast<int>(bi)))];
     const std::vector<int> chunks = grp.chunks(schedule.mini_batch);
 
-    int li = 0;
     net.blocks[bi].for_each_layer([&](const Layer& l, int) {
-      const LayerBytes lb = by_layer[{static_cast<int>(bi), li}];
-      ++li;
+      const sched::LayerBytes& lb = by_layer[flat++];
 
       std::int64_t comp[2] = {0, 0};  // forward, backward
       std::int64_t max_fold_bytes = 0;
       bool gate_on_scratchpad = false;
+      auto add = [&](const GemmCycles& gc, std::int64_t scale, int phase) {
+        comp[phase] += gc.comp_cycles * scale;
+        gemm_macs += gc.macs * scale;
+        folds_total += gc.folds * scale;
+        mapped_pe_total += gc.mapped_pe_folds * scale;
+        stream.a += gc.bytes.a * scale;
+        stream.b += gc.bytes.b * scale;
+        stream.c += gc.bytes.c * scale;
+        max_fold_bytes = std::max(max_fold_bytes, gc.max_fold_bytes);
+      };
       if (l.is_gemm()) {
         gate_on_scratchpad = true;
         const bool skip_dgrad = first_gemm;
         first_gemm = false;
-        auto run = [&](int sub_batch, GemmPass pass, int phase) {
-          const GemmCycles gc =
-              simulate_gemm_cycles(cfg, df, gemm_shape(l, sub_batch, pass));
-          comp[phase] += gc.comp_cycles;
-          gemm_macs += gc.macs;
-          folds_total += gc.folds;
-          mapped_pe_total += gc.mapped_pe_folds;
-          stream.a += gc.bytes.a;
-          stream.b += gc.bytes.b;
-          stream.c += gc.bytes.c;
-          max_fold_bytes = std::max(max_fold_bytes, gc.max_fold_bytes);
-        };
+        // All chunks but the last have one size, so each pass is simulated
+        // once per distinct size.
+        int timed = 0;
+        GemmCycles fwd, wgrad, dgrad;
         for (int c : chunks) {
-          run(c, GemmPass::kForward, 0);
-          run(c, GemmPass::kWeightGrad, 1);
-          if (!skip_dgrad) run(c, GemmPass::kDataGrad, 1);
+          if (c != timed) {
+            timed = c;
+            fwd = simulate_gemm_cycles(cfg, df,
+                                       gemm_shape(l, c, GemmPass::kForward));
+            wgrad = simulate_gemm_cycles(
+                cfg, df, gemm_shape(l, c, GemmPass::kWeightGrad));
+            if (!skip_dgrad)
+              dgrad = simulate_gemm_cycles(
+                  cfg, df, gemm_shape(l, c, GemmPass::kDataGrad));
+          }
+          add(fwd, 1, 0);
+          add(wgrad, 1, 1);
+          if (!skip_dgrad) add(dgrad, 1, 1);
         }
       } else if (l.is_attention()) {
         // Attention GEMMs run on the array too; shapes are per (sample,
@@ -325,17 +262,8 @@ SystolicStepResult simulate_systolic_step(const core::Network& net,
         const std::int64_t scale =
             static_cast<std::int64_t>(schedule.mini_batch) * l.heads;
         auto run_attention = [&](GemmPass pass, int phase) {
-          for (const GemmShape& sh : attention_gemm_shapes(l, pass)) {
-            const GemmCycles gc = simulate_gemm_cycles(cfg, df, sh);
-            comp[phase] += gc.comp_cycles * scale;
-            gemm_macs += gc.macs * scale;
-            folds_total += gc.folds * scale;
-            mapped_pe_total += gc.mapped_pe_folds * scale;
-            stream.a += gc.bytes.a * scale;
-            stream.b += gc.bytes.b * scale;
-            stream.c += gc.bytes.c * scale;
-            max_fold_bytes = std::max(max_fold_bytes, gc.max_fold_bytes);
-          }
+          for (const GemmShape& sh : attention_gemm_shapes(l, pass))
+            add(simulate_gemm_cycles(cfg, df, sh), scale, phase);
         };
         run_attention(GemmPass::kForward, 0);
         run_attention(GemmPass::kDataGrad, 1);

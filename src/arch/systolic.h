@@ -84,17 +84,17 @@ struct GemmTiming {
 };
 
 /// Simulates one GEMM: tiling, waves, fill/drain and (optionally) the
-/// inter-wave weight shift-in gaps. Exact for edge (partial) tiles.
+/// inter-wave weight shift-in gaps. Exact for edge (partial) tiles, in O(1).
 GemmTiming simulate_gemm(const SystolicConfig& cfg, const GemmShape& shape);
 
 // ---------------------------------------------------------------------------
 // Cycle-level backend (Device::kSystolic).
 //
 // Unlike the wave model above — which is the paper's analytic pipeline
-// formula — this backend walks every fold a GEMM makes across the PE array
-// under an explicit dataflow (os/ws/is), counts exact fill/stream/drain
-// cycles per fold including partial edge folds, tracks the per-operand bytes
-// each fold streams through the PE-array scratchpad, and charges DRAM stall
+// formula — this backend counts exact fill/stream/drain cycles of every fold
+// a GEMM makes across the PE array under an explicit dataflow (os/ws/is),
+// partial edge folds included (summed in closed form), tracks the operand
+// bytes folds stream through the PE-array scratchpad, and charges DRAM stall
 // cycles against the schedule's per-(layer, phase) traffic with a
 // double-buffered scratchpad overlap gate.
 // ---------------------------------------------------------------------------
@@ -138,10 +138,10 @@ struct GemmCycles {
   }
 };
 
-/// Runs one GEMM through the array fold by fold. Exact for partial edge
-/// folds; os folds over (Gh/rows x Gw/cols) with K streaming, ws/is fold the
-/// reduction dimension over the array rows and spill 32b partial sums to the
-/// scratchpad between k-folds.
+/// Runs one GEMM through the array in O(1) (closed-form fold sums). Exact
+/// for partial edge folds; os folds over (Gh/rows x Gw/cols) with K
+/// streaming, ws/is fold the reduction dimension over the array rows and
+/// spill 32b partial sums to the scratchpad between k-folds.
 GemmCycles simulate_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
                                 const GemmShape& shape);
 

@@ -25,7 +25,8 @@ const T& Evaluator::stage(detail::KeyedCache<T>& cache, const std::string& key,
                           Load load, Put put, Compute compute,
                           std::int64_t EvaluatorStats::*hits,
                           std::int64_t EvaluatorStats::*misses,
-                          std::int64_t EvaluatorStats::*disk_hits) {
+                          std::int64_t EvaluatorStats::*disk_hits,
+                          bool count_hit) {
   bool hit = false, disk = false;
   const T& value = cache.get_or_compute(
       key,
@@ -40,7 +41,7 @@ const T& Evaluator::stage(detail::KeyedCache<T>& cache, const std::string& key,
         return v;
       },
       &hit);
-  count(hits, misses, disk_hits, hit, disk);
+  if (!hit || count_hit) count(hits, misses, disk_hits, hit, disk);
   return value;
 }
 
@@ -69,20 +70,23 @@ const sched::Schedule& Evaluator::schedule(const Scenario& s) {
       &EvaluatorStats::schedule_disk_hits);
 }
 
-const sched::Traffic& Evaluator::traffic(const Scenario& s) {
+const sched::Traffic& Evaluator::traffic(const Scenario& s, bool count_hit) {
   return stage(
       traffics_, s.schedule_key(), &CacheStore::load_traffic,
       &CacheStore::put_traffic,
       [&] { return sched::compute_traffic(network(s), schedule(s)); },
       &EvaluatorStats::traffic_hits, &EvaluatorStats::traffic_misses,
-      &EvaluatorStats::traffic_disk_hits);
+      &EvaluatorStats::traffic_disk_hits, count_hit);
 }
 
 const sim::StepResult& Evaluator::step(const Scenario& s) {
   assert(s.device == Device::kWaveCore);
   return stage(
       steps_, s.cache_key(), &CacheStore::load_step, &CacheStore::put_step,
-      [&] { return sim::simulate_step(network(s), schedule(s), s.hw); },
+      [&] {
+        return sim::simulate_step(network(s), schedule(s),
+                                  traffic(s, /*count_hit=*/false), s.hw);
+      },
       &EvaluatorStats::step_hits, &EvaluatorStats::step_misses,
       &EvaluatorStats::step_disk_hits);
 }

@@ -112,10 +112,12 @@ class Evaluator {
 
   /// sched::compute_traffic for the scenario's schedule, memoized by
   /// Scenario::schedule_key() (traffic does not depend on hw).
-  const sched::Traffic& traffic(const Scenario& s);
+  const sched::Traffic& traffic(const Scenario& s) { return traffic(s, true); }
 
   /// sim::simulate_step for the full scenario, memoized by
-  /// Scenario::cache_key(). Requires device == kWaveCore.
+  /// Scenario::cache_key(), on the memoized traffic(s) (a first read
+  /// computes or disk-loads it; later reads are not counted as hits).
+  /// Requires device == kWaveCore.
   const sim::StepResult& step(const Scenario& s);
 
   /// arch::simulate_gpu_step for kGpu scenarios, memoized by
@@ -155,14 +157,19 @@ class Evaluator {
 
   /// The shared per-stage path: in-memory lookup, then (on a miss) the
   /// disk store, then `compute` — recording fresh values to the store and
-  /// counting hit/miss/disk stats. `load`/`put` are CacheStore member
-  /// pointers for this stage.
+  /// counting hit/miss/disk stats (in-memory hits only when `count_hit`).
+  /// `load`/`put` are CacheStore member pointers for this stage.
   template <typename T, typename Load, typename Put, typename Compute>
   const T& stage(detail::KeyedCache<T>& cache, const std::string& key,
                  Load load, Put put, Compute compute,
                  std::int64_t EvaluatorStats::*hits,
                  std::int64_t EvaluatorStats::*misses,
-                 std::int64_t EvaluatorStats::*disk_hits);
+                 std::int64_t EvaluatorStats::*disk_hits,
+                 bool count_hit = true);
+
+  /// traffic(s); step(s) reads it with count_hit = false, so `traffic_hits`
+  /// counts only the sweep's own lookups (misses and disk hits still count).
+  const sched::Traffic& traffic(const Scenario& s, bool count_hit);
 };
 
 }  // namespace mbs::engine

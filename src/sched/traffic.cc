@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace mbs::sched {
 
@@ -494,6 +496,31 @@ double Traffic::dram_bytes_for_block(int block) const {
   for (const auto& r : records)
     if (r.block == block) total += r.dram_read + r.dram_write;
   return total;
+}
+
+std::vector<LayerBytes> layer_bytes(const core::Network& net,
+                                    const Traffic& traffic) {
+  std::vector<int> block_offset(net.blocks.size() + 1, 0);
+  for (std::size_t b = 0; b < net.blocks.size(); ++b)
+    block_offset[b + 1] = block_offset[b] + net.blocks[b].layer_count();
+
+  std::vector<LayerBytes> out(static_cast<std::size_t>(block_offset.back()));
+  for (const TrafficRecord& r : traffic.records) {
+    const std::size_t b = static_cast<std::size_t>(r.block);
+    if (r.block < 0 || b >= net.blocks.size() || r.layer < 0 ||
+        r.layer >= block_offset[b + 1] - block_offset[b]) {
+      std::fprintf(stderr,
+                   "layer_bytes: traffic record (block %d, layer %d) is not "
+                   "a layer of network '%s'\n",
+                   r.block, r.layer, net.name.c_str());
+      std::abort();
+    }
+    LayerBytes& lb = out[static_cast<std::size_t>(block_offset[b] + r.layer)];
+    const int ph = r.phase == Phase::kForward ? 0 : 1;
+    lb.dram[ph] += r.dram_read + r.dram_write;
+    lb.buf[ph] += r.buf_read + r.buf_write;
+  }
+  return out;
 }
 
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule) {

@@ -59,6 +59,20 @@ struct Traffic {
   double dram_bytes_for_block(int block) const;
 };
 
+/// DRAM and global-buffer bytes of one (block, layer), summed by phase.
+struct LayerBytes {
+  double dram[2] = {0, 0};  ///< indexed by 0 = forward, 1 = backward
+  double buf[2] = {0, 0};
+};
+
+/// Sums `traffic`'s records per (block, layer, phase) in record order. The
+/// result holds one cell per layer of `net` in flat execution order (blocks
+/// in order, each in Block::for_each_layer order), so (block b, layer l)
+/// sits at index layer_count(blocks 0..b-1) + l. Aborts on a record that
+/// names no layer of `net`.
+std::vector<LayerBytes> layer_bytes(const core::Network& net,
+                                    const Traffic& traffic);
+
 /// Computes the per-step traffic of `schedule` over `net`. All byte counts
 /// are per core (the paper reports per-chip numbers as 2x this).
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <utility>
+
+#include "arch/vector_ops.h"
 
 namespace mbs::sim {
 
@@ -11,42 +11,6 @@ namespace {
 
 using core::Layer;
 using core::LayerKind;
-using sched::Phase;
-
-/// DRAM and buffer bytes of one (block, layer) aggregated by phase.
-struct LayerBytes {
-  double dram[2] = {0, 0};  ///< indexed by Phase
-  double buf[2] = {0, 0};
-};
-
-/// Approximate vector-unit operation counts (per sample).
-double vector_ops_fwd(const Layer& l) {
-  return static_cast<double>(l.flops_per_sample());
-}
-
-double vector_ops_bwd(const Layer& l) {
-  switch (l.kind) {
-    case LayerKind::kNorm:
-      // Gradients w.r.t. input plus scale/shift parameter gradients.
-      return 2.0 * static_cast<double>(l.flops_per_sample());
-    case LayerKind::kAct:
-      return static_cast<double>(l.in.elements());
-    case LayerKind::kPool:
-      return static_cast<double>(l.out.elements());
-    case LayerKind::kAdd:
-    case LayerKind::kConcat:
-      return 0;  // backward is gradient routing
-    default:
-      return 0;
-  }
-}
-
-/// Softmax ops of one attention layer, per sample per direction (~4 ops per
-/// score-matrix element). Duplicated in arch/systolic.cc; keep in lock step.
-double attention_softmax_ops(const Layer& l) {
-  const double s = static_cast<double>(l.in.h) * l.in.w;
-  return 4.0 * l.heads * s * s;
-}
 
 /// Fig. 12 category of a layer. Attention is GEMM-dominated compute and
 /// reports under the conv slot (LayerTypeTimes' layout is
@@ -67,16 +31,15 @@ double* type_slot(LayerTypeTimes& t, LayerKind kind) {
 StepResult simulate_step(const core::Network& net,
                          const sched::Schedule& schedule,
                          const WaveCoreConfig& hw) {
-  const sched::Traffic traffic = sched::compute_traffic(net, schedule);
+  return simulate_step(net, schedule, sched::compute_traffic(net, schedule), hw);
+}
 
-  // Aggregate traffic per (block, layer, phase).
-  std::map<std::pair<int, int>, LayerBytes> by_layer;
-  for (const sched::TrafficRecord& r : traffic.records) {
-    LayerBytes& lb = by_layer[{r.block, r.layer}];
-    const int p = r.phase == Phase::kForward ? 0 : 1;
-    lb.dram[p] += r.dram_read + r.dram_write;
-    lb.buf[p] += r.buf_read + r.buf_write;
-  }
+StepResult simulate_step(const core::Network& net,
+                         const sched::Schedule& schedule,
+                         const sched::Traffic& traffic,
+                         const WaveCoreConfig& hw) {
+  const std::vector<sched::LayerBytes> by_layer =
+      sched::layer_bytes(net, traffic);
 
   const double dram_bw = hw.unlimited_dram_bw
                              ? std::numeric_limits<double>::infinity()
@@ -93,47 +56,45 @@ StepResult simulate_step(const core::Network& net,
       sched::uses_weight_double_buffering(schedule.config);
 
   bool first_gemm = true;
+  std::size_t flat = 0;
   for (std::size_t bi = 0; bi < net.blocks.size(); ++bi) {
     const sched::Group& grp = schedule.groups[static_cast<std::size_t>(
         schedule.group_of_block(static_cast<int>(bi)))];
     const std::vector<int> chunks = grp.chunks(schedule.mini_batch);
 
-    int li = 0;
     net.blocks[bi].for_each_layer([&](const Layer& l, int) {
-      const LayerBytes lb = by_layer[{static_cast<int>(bi), li}];
-      ++li;
+      const sched::LayerBytes& lb = by_layer[flat++];
 
       double compute_fwd = 0;
       double compute_bwd = 0;
+      auto add = [&](const arch::GemmTiming& t, double scale, double* compute) {
+        gemm_cycles += scale * static_cast<double>(t.cycles);
+        gemm_macs += scale * static_cast<double>(t.macs);
+        gemm_buf_bytes +=
+            scale * static_cast<double>(t.buf_read_bytes + t.buf_write_bytes);
+        *compute += scale * t.seconds(systolic);
+      };
       if (l.is_gemm()) {
         const bool skip_dgrad = first_gemm;
         first_gemm = false;
+        // All chunks but the last have one size, so each pass is timed once
+        // per distinct size; the per-chunk sums keep their order.
+        int timed = 0;
+        arch::GemmTiming fwd, wgrad, dgrad;
         for (int c : chunks) {
-          const arch::GemmTiming fwd = arch::simulate_gemm(
-              systolic, arch::gemm_shape(l, c, arch::GemmPass::kForward));
-          gemm_cycles += static_cast<double>(fwd.cycles);
-          gemm_macs += static_cast<double>(fwd.macs);
-          gemm_buf_bytes += static_cast<double>(fwd.buf_read_bytes +
-                                                fwd.buf_write_bytes);
-          compute_fwd += fwd.seconds(systolic);
-
-          const arch::GemmTiming wgrad = arch::simulate_gemm(
-              systolic, arch::gemm_shape(l, c, arch::GemmPass::kWeightGrad));
-          gemm_cycles += static_cast<double>(wgrad.cycles);
-          gemm_macs += static_cast<double>(wgrad.macs);
-          gemm_buf_bytes += static_cast<double>(wgrad.buf_read_bytes +
-                                                wgrad.buf_write_bytes);
-          compute_bwd += wgrad.seconds(systolic);
-
-          if (!skip_dgrad) {
-            const arch::GemmTiming dgrad = arch::simulate_gemm(
-                systolic, arch::gemm_shape(l, c, arch::GemmPass::kDataGrad));
-            gemm_cycles += static_cast<double>(dgrad.cycles);
-            gemm_macs += static_cast<double>(dgrad.macs);
-            gemm_buf_bytes += static_cast<double>(dgrad.buf_read_bytes +
-                                                  dgrad.buf_write_bytes);
-            compute_bwd += dgrad.seconds(systolic);
+          if (c != timed) {
+            timed = c;
+            fwd = arch::simulate_gemm(
+                systolic, arch::gemm_shape(l, c, arch::GemmPass::kForward));
+            wgrad = arch::simulate_gemm(
+                systolic, arch::gemm_shape(l, c, arch::GemmPass::kWeightGrad));
+            if (!skip_dgrad)
+              dgrad = arch::simulate_gemm(
+                  systolic, arch::gemm_shape(l, c, arch::GemmPass::kDataGrad));
           }
+          add(fwd, 1, &compute_fwd);
+          add(wgrad, 1, &compute_bwd);
+          if (!skip_dgrad) add(dgrad, 1, &compute_bwd);
         }
       } else if (l.is_attention()) {
         // Attention's Q.K^T / P.V GEMMs run on the array; shapes are per
@@ -143,26 +104,20 @@ StepResult simulate_step(const core::Network& net,
         const double scale =
             static_cast<double>(schedule.mini_batch) * l.heads;
         auto run_attention = [&](arch::GemmPass pass, double* compute) {
-          for (const arch::GemmShape& sh : arch::attention_gemm_shapes(l, pass)) {
-            const arch::GemmTiming t = arch::simulate_gemm(systolic, sh);
-            gemm_cycles += scale * static_cast<double>(t.cycles);
-            gemm_macs += scale * static_cast<double>(t.macs);
-            gemm_buf_bytes += scale * static_cast<double>(t.buf_read_bytes +
-                                                          t.buf_write_bytes);
-            *compute += scale * t.seconds(systolic);
-          }
+          for (const arch::GemmShape& sh : arch::attention_gemm_shapes(l, pass))
+            add(arch::simulate_gemm(systolic, sh), scale, compute);
         };
         run_attention(arch::GemmPass::kForward, &compute_fwd);
         run_attention(arch::GemmPass::kDataGrad, &compute_bwd);
         const double soft =
-            attention_softmax_ops(l) * schedule.mini_batch;
+            arch::attention_softmax_ops(l) * schedule.mini_batch;
         vector_ops_total += 2 * soft;
         compute_fwd += soft / hw.vector_flops;
         compute_bwd += soft / hw.vector_flops;
       } else {
         const double n = schedule.mini_batch;
-        const double ops_f = vector_ops_fwd(l) * n;
-        const double ops_b = vector_ops_bwd(l) * n;
+        const double ops_f = arch::vector_ops_fwd(l) * n;
+        const double ops_b = arch::vector_ops_bwd(l) * n;
         vector_ops_total += ops_f + ops_b;
         compute_fwd = ops_f / hw.vector_flops;
         compute_bwd = ops_b / hw.vector_flops;

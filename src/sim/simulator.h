@@ -46,6 +46,7 @@ struct LayerTypeTimes {
   double sum = 0;
 
   double total() const { return conv + fc + norm + pool + sum; }
+  bool operator==(const LayerTypeTimes&) const = default;
 };
 
 /// Results of one simulated training step (chip level: two cores each
@@ -60,9 +61,19 @@ struct StepResult {
   double memory_time_s = 0;     ///< sum of per-layer DRAM components
   LayerTypeTimes time_by_type;
   arch::EnergyBreakdown energy;
+
+  bool operator==(const StepResult&) const = default;
 };
 
-/// Simulates one training step of `net` under `schedule` on `hw`.
+/// Simulates one training step of `net` under `schedule` on `hw`, charging
+/// each layer the DRAM and buffer bytes of `traffic`, which must be
+/// sched::compute_traffic(net, schedule) (the Evaluator passes its memo).
+StepResult simulate_step(const core::Network& net,
+                         const sched::Schedule& schedule,
+                         const sched::Traffic& traffic,
+                         const WaveCoreConfig& hw);
+
+/// As above, computing the schedule's traffic first.
 StepResult simulate_step(const core::Network& net,
                          const sched::Schedule& schedule,
                          const WaveCoreConfig& hw);

@@ -861,6 +861,41 @@ TEST(CacheStore, WarmRunMatchesColdRunAndSkipsAllComputation) {
   std::remove(path.c_str());
 }
 
+TEST(CacheStore, StepOnDiskLoadedTrafficMatchesColdStepBitForBit) {
+  // The step stage consumes the traffic memo. Warm it from disk only (the
+  // store holds schedules and traffic but no steps) and the computed steps
+  // must carry exactly the cold run's bits.
+  const std::string dir = test_cache_dir("traffic_warm");
+  const std::string path = dir + "/evaluator.mbscache";
+  std::remove(path.c_str());
+
+  auto grid = scenario_grid({"alexnet", "resnet50", "vit_small"},
+                            sched::paper_tab3_configs());
+  {
+    CacheStore store(path);
+    Evaluator eval(&store);
+    for (const Scenario& s : grid) eval.traffic(s);
+    ASSERT_TRUE(store.save());
+  }
+
+  Evaluator cold_eval;
+  CacheStore warm_store(path);
+  Evaluator warm_eval(&warm_store);
+  for (const Scenario& s : grid) {
+    const sim::StepResult& cold = cold_eval.step(s);
+    const sim::StepResult& warm = warm_eval.step(s);
+    EXPECT_TRUE(warm == cold) << s.cache_key();
+  }
+  const EvaluatorStats warm_stats = warm_eval.stats();
+  const auto n = static_cast<std::int64_t>(grid.size());
+  EXPECT_EQ(warm_stats.traffic_misses, n);
+  EXPECT_EQ(warm_stats.traffic_disk_hits, n);
+  EXPECT_EQ(warm_stats.traffic_hits, 0);
+  EXPECT_EQ(warm_stats.step_misses, n);
+  EXPECT_EQ(warm_stats.step_disk_hits, 0);
+  std::remove(path.c_str());
+}
+
 TEST(CacheStore, VersionStampMismatchStartsCold) {
   const std::string dir = test_cache_dir("stale");
   const std::string path = dir + "/evaluator.mbscache";

@@ -3,7 +3,10 @@
 // orderings the paper's evaluation rests on.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "models/zoo.h"
 #include "sched/config.h"
@@ -510,6 +513,53 @@ TEST(TrafficClasses, PerBlockAttributionSumsToTotal) {
   for (int b = 0; b < static_cast<int>(net.blocks.size()); ++b)
     sum += t.dram_bytes_for_block(b);
   EXPECT_NEAR(sum, t.dram_bytes(), t.dram_bytes() * 1e-9);
+}
+
+TEST(LayerBytes, FlatCellsEqualAPerLayerMapSum) {
+  // The step walkers used to sum records into a (block, layer)-keyed map;
+  // the flat cells must hold the same bits, in for_each_layer order.
+  for (const std::string& name : models::all_network_names()) {
+    const Network net = models::make_network(name);
+    for (ExecConfig cfg : paper_tab3_configs()) {
+      SCOPED_TRACE(name + " " + to_string(cfg));
+      const Traffic t = compute_traffic(net, build_schedule(net, cfg));
+      std::map<std::pair<int, int>, LayerBytes> by_layer;
+      for (const TrafficRecord& r : t.records) {
+        LayerBytes& lb = by_layer[{r.block, r.layer}];
+        const int ph = r.phase == Phase::kForward ? 0 : 1;
+        lb.dram[ph] += r.dram_read + r.dram_write;
+        lb.buf[ph] += r.buf_read + r.buf_write;
+      }
+      const std::vector<LayerBytes> flat = layer_bytes(net, t);
+      ASSERT_EQ(flat.size(), static_cast<std::size_t>(net.layer_count()));
+      std::size_t i = 0;
+      for (std::size_t b = 0; b < net.blocks.size(); ++b)
+        for (int l = 0; l < net.blocks[b].layer_count(); ++l, ++i) {
+          const LayerBytes want = by_layer[{static_cast<int>(b), l}];
+          for (int ph = 0; ph < 2; ++ph) {
+            EXPECT_EQ(flat[i].dram[ph], want.dram[ph]) << b << "/" << l;
+            EXPECT_EQ(flat[i].buf[ph], want.buf[ph]) << b << "/" << l;
+          }
+        }
+      // No record fell outside the network's layers.
+      EXPECT_EQ(by_layer.size(), flat.size());
+    }
+  }
+}
+
+TEST(LayerBytesDeathTest, RejectsRecordsOutsideTheNetwork) {
+  const Network net = models::make_network("alexnet");
+  Traffic t = compute_traffic(net, build_schedule(net, ExecConfig::kMbs2));
+  Traffic past_block = t;
+  past_block.records.back().block = 0;
+  past_block.records.back().layer = net.blocks.front().layer_count();
+  EXPECT_DEATH(layer_bytes(net, past_block), "is not a layer of network");
+  Traffic past_net = t;
+  past_net.records.front().block = static_cast<int>(net.blocks.size());
+  EXPECT_DEATH(layer_bytes(net, past_net), "is not a layer of network");
+  Traffic negative = t;
+  negative.records.front().layer = -1;
+  EXPECT_DEATH(layer_bytes(net, negative), "is not a layer of network");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
+#include "sched/config.h"
 #include "sched/scheduler.h"
+#include "sched/traffic.h"
 #include "sim/simulator.h"
 
 namespace mbs::sim {
@@ -67,6 +69,36 @@ TEST_P(SimPerNetwork, DramEnergyShareDropsUnderMbs) {
 
 INSTANTIATE_TEST_SUITE_P(AllNetworks, SimPerNetwork,
                          ::testing::ValuesIn(models::evaluated_network_names()));
+
+// ---- Memoized traffic -------------------------------------------------------
+
+TEST(TrafficOverload, MatchesTheSelfComputingFormFieldForField) {
+  // The Evaluator hands simulate_step its memoized traffic; that form must
+  // give exactly what the step computes from the schedule itself.
+  WaveCoreConfig unlimited;
+  unlimited.unlimited_dram_bw = true;
+  for (const std::string& name : models::all_network_names()) {
+    const Network net = models::make_network(name);
+    for (ExecConfig cfg : sched::paper_tab3_configs()) {
+      SCOPED_TRACE(name + " " + sched::to_string(cfg));
+      const sched::Schedule s = sched::build_schedule(net, cfg);
+      const sched::Traffic traffic = sched::compute_traffic(net, s);
+      for (const WaveCoreConfig& hw : {WaveCoreConfig{}, unlimited}) {
+        const StepResult self = simulate_step(net, s, hw);
+        const StepResult given = simulate_step(net, s, traffic, hw);
+        EXPECT_EQ(given.time_s, self.time_s);
+        EXPECT_EQ(given.dram_bytes, self.dram_bytes);
+        EXPECT_EQ(given.buffer_bytes, self.buffer_bytes);
+        EXPECT_EQ(given.total_macs, self.total_macs);
+        EXPECT_EQ(given.systolic_utilization, self.systolic_utilization);
+        EXPECT_EQ(given.compute_time_s, self.compute_time_s);
+        EXPECT_EQ(given.memory_time_s, self.memory_time_s);
+        EXPECT_EQ(given.time_by_type, self.time_by_type);
+        EXPECT_EQ(given.energy, self.energy);
+      }
+    }
+  }
+}
 
 // ---- Utilization (Fig. 14) ---------------------------------------------------
 

@@ -3,7 +3,9 @@
 // double-buffer / bandwidth edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "arch/memory.h"
 #include "arch/systolic.h"
@@ -110,6 +112,192 @@ TEST(GemmCycles, EdgeFoldsAreExact) {
   EXPECT_EQ(g.folds, 2);
   EXPECT_EQ(g.mapped_pe_folds, 4 * 3 + 1 * 3);
 }
+
+// ---------------------------------------------------------------------------
+// Closed forms == the per-tile and per-fold loops they replaced.
+// ---------------------------------------------------------------------------
+
+/// The wave model as a loop over every output tile (the form simulate_gemm
+/// had before its sums were reduced to closed form).
+GemmTiming reference_gemm(const SystolicConfig& cfg, const GemmShape& shape) {
+  const std::int64_t m = cfg.tile_m();
+  const std::int64_t n = cfg.cols;
+  const std::int64_t k_rows = cfg.rows;
+  const std::int64_t tiles_h = (shape.gh + m - 1) / m;
+  const std::int64_t tiles_w = (shape.gw + n - 1) / n;
+  const std::int64_t waves = (shape.k + k_rows - 1) / k_rows;
+  GemmTiming t;
+  t.macs = shape.macs();
+  for (std::int64_t th = 0; th < tiles_h; ++th) {
+    const std::int64_t m_t = std::min(m, shape.gh - th * m);
+    for (std::int64_t tw = 0; tw < tiles_w; ++tw) {
+      const std::int64_t n_t = std::min(n, shape.gw - tw * n);
+      if (cfg.weight_double_buffering)
+        t.cycles += k_rows + waves * std::max(m_t, k_rows) + n_t;
+      else
+        t.cycles += waves * (k_rows + m_t) + k_rows + n_t;
+    }
+  }
+  t.buf_read_bytes = 2 * (shape.gh * shape.k * tiles_w +
+                          shape.k * shape.gw * tiles_h);
+  t.buf_write_bytes = 2 * shape.gh * shape.gw;
+  t.utilization = static_cast<double>(t.macs) /
+                  (static_cast<double>(t.cycles) * cfg.rows * cfg.cols);
+  return t;
+}
+
+/// The cycle-level model as a loop over every fold (the form
+/// simulate_gemm_cycles had before its sums were reduced to closed form).
+GemmCycles reference_gemm_cycles(const SystolicConfig& cfg, Dataflow df,
+                                 const GemmShape& shape) {
+  constexpr std::int64_t kElemBytes = 2;
+  const std::int64_t R = cfg.rows;
+  const std::int64_t C = cfg.cols;
+  GemmCycles g;
+  auto add_fold = [&](std::int64_t preload, std::int64_t stream,
+                      std::int64_t span_a, std::int64_t span_b,
+                      std::int64_t macs, std::int64_t fold_elems) {
+    g.comp_cycles += preload + stream + span_a + span_b - 2;
+    g.mapped_pe_folds += span_a * span_b;
+    g.macs += macs;
+    g.folds += 1;
+    g.max_fold_bytes = std::max(g.max_fold_bytes, kElemBytes * fold_elems);
+  };
+  if (df == Dataflow::kOutputStationary) {
+    for (std::int64_t h0 = 0; h0 < shape.gh; h0 += R) {
+      const std::int64_t m_t = std::min(R, shape.gh - h0);
+      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
+        const std::int64_t n_t = std::min(C, shape.gw - w0);
+        add_fold(0, shape.k, m_t, n_t, m_t * n_t * shape.k,
+                 m_t * shape.k + shape.k * n_t + m_t * n_t);
+        g.bytes.a += kElemBytes * m_t * shape.k;
+        g.bytes.b += kElemBytes * shape.k * n_t;
+        g.bytes.c += kElemBytes * m_t * n_t;
+      }
+    }
+    return g;
+  }
+  for (std::int64_t k0 = 0; k0 < shape.k; k0 += R) {
+    const std::int64_t k_t = std::min(R, shape.k - k0);
+    const std::int64_t psum_rw = k0 == 0 ? 1 : 2;
+    if (df == Dataflow::kWeightStationary) {
+      for (std::int64_t w0 = 0; w0 < shape.gw; w0 += C) {
+        const std::int64_t n_t = std::min(C, shape.gw - w0);
+        add_fold(k_t, shape.gh, k_t, n_t, k_t * n_t * shape.gh,
+                 k_t * n_t + shape.gh * k_t + shape.gh * n_t);
+        g.bytes.a += kElemBytes * shape.gh * k_t;
+        g.bytes.b += kElemBytes * k_t * n_t;
+        g.bytes.c += kElemBytes * psum_rw * shape.gh * n_t;
+      }
+    } else {
+      for (std::int64_t h0 = 0; h0 < shape.gh; h0 += C) {
+        const std::int64_t m_t = std::min(C, shape.gh - h0);
+        add_fold(k_t, shape.gw, k_t, m_t, k_t * m_t * shape.gw,
+                 k_t * m_t + shape.gw * k_t + m_t * shape.gw);
+        g.bytes.a += kElemBytes * k_t * m_t;
+        g.bytes.b += kElemBytes * shape.gw * k_t;
+        g.bytes.c += kElemBytes * psum_rw * m_t * shape.gw;
+      }
+    }
+  }
+  return g;
+}
+
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
+
+struct ArrayGeometry {
+  int rows, cols;
+};
+
+class ClosedFormReference : public ::testing::TestWithParam<ArrayGeometry> {};
+
+TEST_P(ClosedFormReference, EveryFieldMatchesTheFoldLoops) {
+  const ArrayGeometry a = GetParam();
+  // Cases whose reference loop would run more than this many tiles or folds
+  // are skipped (two 200003-long dimensions on a small array); every other
+  // (shape, array, tile_m, double-buffering, dataflow) point is compared.
+  constexpr std::int64_t kMaxReferenceFolds = 1 << 18;
+  std::int64_t compared = 0, skipped = 0;
+  for (std::int64_t acc : {static_cast<std::int64_t>(a.rows) * a.cols * 4,
+                           std::int64_t{128 * 1024}}) {
+    SystolicConfig cfg;
+    cfg.rows = a.rows;
+    cfg.cols = a.cols;
+    cfg.acc_half_bytes = acc;
+    ASSERT_GT(cfg.tile_m(), 0);
+    // Each dimension sits on, beside and well past every tile edge it can
+    // be cut at: rows and cols for all three, tile_m for Gh too.
+    auto edges = [](std::initializer_list<std::int64_t> tiles) {
+      std::vector<std::int64_t> dims;
+      for (std::int64_t x : tiles)
+        for (std::int64_t d : {std::int64_t{1}, x - 1, x, x + 1, 3 * x,
+                               3 * x + 5, std::int64_t{200003}})
+          if (d > 0 && std::find(dims.begin(), dims.end(), d) == dims.end())
+            dims.push_back(d);
+      return dims;
+    };
+    const std::vector<std::int64_t> dims = edges({cfg.rows, cfg.cols});
+    for (std::int64_t gh : edges({cfg.rows, cfg.cols, cfg.tile_m()}))
+      for (std::int64_t gw : dims)
+        for (std::int64_t k : dims) {
+          const GemmShape shape{gh, gw, k};
+          SCOPED_TRACE(testing::Message()
+                       << a.rows << "x" << a.cols << " tile_m=" << cfg.tile_m()
+                       << " shape=" << gh << "x" << gw << "x" << k);
+          if (ceil_div(gh, cfg.tile_m()) * ceil_div(gw, cfg.cols) <=
+              kMaxReferenceFolds) {
+            for (bool db : {true, false}) {
+              SCOPED_TRACE(db ? "double-buffered" : "single-buffered");
+              cfg.weight_double_buffering = db;
+              const GemmTiming got = simulate_gemm(cfg, shape);
+              const GemmTiming want = reference_gemm(cfg, shape);
+              EXPECT_EQ(got.cycles, want.cycles);
+              EXPECT_EQ(got.macs, want.macs);
+              EXPECT_EQ(got.utilization, want.utilization);
+              EXPECT_EQ(got.buf_read_bytes, want.buf_read_bytes);
+              EXPECT_EQ(got.buf_write_bytes, want.buf_write_bytes);
+              ++compared;
+            }
+          } else {
+            skipped += 2;
+          }
+          const std::int64_t folds[] = {
+              ceil_div(gh, cfg.rows) * ceil_div(gw, cfg.cols),
+              ceil_div(k, cfg.rows) * ceil_div(gw, cfg.cols),
+              ceil_div(k, cfg.rows) * ceil_div(gh, cfg.cols)};
+          const Dataflow dfs[] = {Dataflow::kOutputStationary,
+                                  Dataflow::kWeightStationary,
+                                  Dataflow::kInputStationary};
+          for (int i = 0; i < 3; ++i) {
+            if (folds[i] > kMaxReferenceFolds) {
+              ++skipped;
+              continue;
+            }
+            SCOPED_TRACE(to_string(dfs[i]));
+            const GemmCycles got = simulate_gemm_cycles(cfg, dfs[i], shape);
+            const GemmCycles want = reference_gemm_cycles(cfg, dfs[i], shape);
+            EXPECT_EQ(got.comp_cycles, want.comp_cycles);
+            EXPECT_EQ(got.macs, want.macs);
+            EXPECT_EQ(got.folds, want.folds);
+            EXPECT_EQ(got.mapped_pe_folds, want.mapped_pe_folds);
+            EXPECT_EQ(got.bytes.a, want.bytes.a);
+            EXPECT_EQ(got.bytes.b, want.bytes.b);
+            EXPECT_EQ(got.bytes.c, want.bytes.c);
+            EXPECT_EQ(got.max_fold_bytes, want.max_fold_bytes);
+            ++compared;
+          }
+        }
+  }
+  // Skips are the points with two very long dimensions; most of the grid
+  // runs against the reference.
+  EXPECT_GT(compared, 2 * skipped);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arrays, ClosedFormReference,
+    ::testing::Values(ArrayGeometry{1, 1}, ArrayGeometry{7, 3},
+                      ArrayGeometry{64, 64}, ArrayGeometry{128, 128},
+                      ArrayGeometry{256, 256}));
 
 // ---------------------------------------------------------------------------
 // Step-level invariants.
