@@ -46,11 +46,6 @@ int Schedule::group_of_block(int block) const {
   return -1;
 }
 
-int Schedule::iterations_of_block(int block) const {
-  const int g = group_of_block(block);
-  return g < 0 ? 1 : groups[static_cast<std::size_t>(g)].iterations;
-}
-
 int Schedule::total_iterations() const {
   int total = 0;
   for (const Group& g : groups) total += g.iterations;

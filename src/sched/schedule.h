@@ -88,8 +88,6 @@ struct Schedule {
 
   /// Group index owning `block`.
   int group_of_block(int block) const;
-  /// Sub-batch iterations executed over `block`.
-  int iterations_of_block(int block) const;
   /// Total sub-batch iterations across all groups.
   int total_iterations() const;
   /// True if `block` starts a new group run (its input tensor is loaded

@@ -51,9 +51,9 @@ std::vector<Group> initial_groups(const Schedule& s, int n_blocks) {
 
 /// Greedy merging: repeatedly apply the adjacent-group merge that reduces
 /// total modeled DRAM traffic the most, until no merge helps (Sec. 3).
-void greedy_merge(const core::Network& net, Schedule& s) {
+void greedy_merge(const DramObjective& dram_bytes, Schedule& s) {
   refresh_groups(s);
-  double best = dram_traffic_bytes(net, s);
+  double best = dram_bytes(s);
   while (s.groups.size() > 1) {
     int best_idx = -1;
     double best_traffic = best;
@@ -62,7 +62,7 @@ void greedy_merge(const core::Network& net, Schedule& s) {
       cand.groups[g].last = cand.groups[g + 1].last;
       cand.groups.erase(cand.groups.begin() + static_cast<std::ptrdiff_t>(g) + 1);
       refresh_groups(cand);
-      const double traffic = dram_traffic_bytes(net, cand);
+      const double traffic = dram_bytes(cand);
       if (traffic < best_traffic) {
         best_traffic = traffic;
         best_idx = static_cast<int>(g);
@@ -88,12 +88,12 @@ void greedy_merge(const core::Network& net, Schedule& s) {
 /// exactly the adjacent merges the contiguous greedy picks — the variant is
 /// the in-tree demonstration that the paper's contiguity restriction loses
 /// nothing.
-void greedy_merge_noncontig(const core::Network& net, Schedule& s) {
+void greedy_merge_noncontig(const DramObjective& dram_bytes, Schedule& s) {
   // Every group carries members explicitly so downstream consumers can
   // rely on one representation for this variant.
   for (Group& g : s.groups) g.members = g.blocks();
   refresh_groups(s);
-  double best = dram_traffic_bytes(net, s);
+  double best = dram_bytes(s);
 
   auto merge_into = [](Schedule& sched, std::size_t a, std::size_t b) {
     Group& ga = sched.groups[a];
@@ -118,7 +118,7 @@ void greedy_merge_noncontig(const core::Network& net, Schedule& s) {
         Schedule cand = s;
         merge_into(cand, a, b);
         refresh_groups(cand);
-        const double traffic = dram_traffic_bytes(net, cand);
+        const double traffic = dram_bytes(cand);
         if (traffic < best_traffic) {
           best_traffic = traffic;
           best_a = a;
@@ -138,10 +138,9 @@ void greedy_merge_noncontig(const core::Network& net, Schedule& s) {
 /// block footprints: dp[j] = min_i dp[i] + cost(i, j) where cost is the
 /// traffic of a schedule containing group [i, j) with every other block in
 /// singleton groups, minus the singleton baseline (a constant shift that
-/// preserves the argmin).
-void dp_optimal(const core::Network& net, Schedule& s) {
-  const int n = static_cast<int>(net.blocks.size());
-
+/// preserves the argmin). That is O(blocks^2) evaluations of the O(layers)
+/// objective, which walks a dataflow graph built once per build_schedule.
+void dp_optimal(const DramObjective& dram_bytes, int n, Schedule& s) {
   // Singleton baseline: every block its own group.
   Schedule singles = s;
   singles.groups.clear();
@@ -161,9 +160,9 @@ void dp_optimal(const core::Network& net, Schedule& s) {
     for (int b = j + 1; b < n; ++b) groups.push_back(Group{b, b, 1, 1, {}});
     cand.groups = std::move(groups);
     refresh_groups(cand);
-    return dram_traffic_bytes(net, cand);
+    return dram_bytes(cand);
   };
-  const double base = dram_traffic_bytes(net, singles);
+  const double base = dram_bytes(singles);
 
   std::vector<double> dp(static_cast<std::size_t>(n) + 1,
                          std::numeric_limits<double>::infinity());
@@ -231,12 +230,13 @@ Schedule build_schedule(const core::Network& net, ExecConfig config,
 
   s.groups = initial_groups(s, n);
   refresh_groups(s);
+  const DramObjective dram_bytes(net);
   if (params.variant == GroupingVariant::kNonContiguous)
-    greedy_merge_noncontig(net, s);
+    greedy_merge_noncontig(dram_bytes, s);
   else if (params.optimal_grouping)
-    dp_optimal(net, s);
+    dp_optimal(dram_bytes, n, s);
   else
-    greedy_merge(net, s);
+    greedy_merge(dram_bytes, s);
   return s;
 }
 

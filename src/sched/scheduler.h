@@ -19,9 +19,10 @@ namespace mbs::sched {
 ///
 /// Two search-space knobs refine the MBS1/MBS2 grouping step:
 ///
-/// * `params.optimal_grouping` replaces greedy merging with an O(blocks^2)
-///   dynamic program over contiguous partitions (the exhaustive-search
-///   reference of the paper's footnote 1).
+/// * `params.optimal_grouping` replaces greedy merging with a dynamic
+///   program over contiguous partitions (the exhaustive-search reference of
+///   the paper's footnote 1): O(blocks^2) evaluations of the O(layers)
+///   DramObjective, whose dataflow graph is built once per call.
 /// * `params.variant == GroupingVariant::kNonContiguous` lets the greedy
 ///   merger combine *any* two groups, not just adjacent ones; the resulting
 ///   groups carry explicit member lists (`Group::members`). It takes

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace mbs::sched {
 
@@ -39,12 +40,16 @@ struct TensorInfo {
   bool feeds_merge = false;    ///< consumed by a merge layer (Add/Concat)
 };
 
+}  // namespace
+
 /// Whole-network dataflow graph at tensor granularity.
 struct Dataflow {
   std::vector<FlatLayer> layers;
   std::vector<TensorInfo> tensors;
   int first_gemm_flat = -1;  ///< first conv/fc: its data-gradient is skipped
 };
+
+namespace {
 
 Dataflow build_dataflow(const Network& net) {
   Dataflow df;
@@ -134,21 +139,100 @@ std::int64_t layer_ws(const Layer& l) {
          l.attention_score_bytes_per_sample(kFeat);
 }
 
+/// Block -> index of its group: the first group that contains the block,
+/// as Schedule::group_of_block answers. Aborts when a block has no group.
+std::vector<int> group_table(const Network& net, const Schedule& sched) {
+  const int n = static_cast<int>(net.blocks.size());
+  std::vector<int> group_of(static_cast<std::size_t>(n), -1);
+  auto own = [&](int block, std::size_t g) {
+    if (block < 0 || block >= n) return;
+    int& owner = group_of[static_cast<std::size_t>(block)];
+    if (owner < 0) owner = static_cast<int>(g);
+  };
+  for (std::size_t g = 0; g < sched.groups.size(); ++g) {
+    const Group& grp = sched.groups[g];
+    if (grp.members.empty()) {
+      for (int b = std::max(grp.first, 0); b <= std::min(grp.last, n - 1); ++b)
+        own(b, g);
+    } else {
+      for (int b : grp.members) own(b, g);
+    }
+  }
+  for (int b = 0; b < n; ++b) {
+    if (group_of[static_cast<std::size_t>(b)] < 0) {
+      std::fprintf(stderr,
+                   "traffic: block %d of network '%s' belongs to no group "
+                   "of the schedule\n",
+                   b, net.name.c_str());
+      std::abort();
+    }
+  }
+  return group_of;
+}
+
+/// Materializes every traffic contribution as a TrafficRecord.
+struct RecordSink {
+  const Dataflow& df;
+  Traffic out;
+
+  void add(int flat, Phase phase, TrafficClass cls, double dram_rd,
+           double dram_wr, double buf_rd, double buf_wr) {
+    const FlatLayer& fl = df.layers[static_cast<std::size_t>(flat)];
+    TrafficRecord r;
+    r.block = fl.block;
+    r.layer = fl.layer;
+    r.kind = fl.l->kind;
+    r.is_gemm = fl.l->is_gemm();
+    r.phase = phase;
+    r.cls = cls;
+    r.dram_read = dram_rd;
+    r.dram_write = dram_wr;
+    // Every DRAM transfer also moves through the global buffer.
+    r.buf_read = buf_rd + dram_wr;
+    r.buf_write = buf_wr + dram_rd;
+    out.records.push_back(r);
+  }
+};
+
+/// Keeps only the DRAM read and write totals, each summed in record order,
+/// so read + write is the same IEEE operation sequence as
+/// Traffic::dram_read_bytes() + Traffic::dram_write_bytes().
+struct DramSink {
+  double read = 0;
+  double write = 0;
+
+  void add(int, Phase, TrafficClass, double dram_rd, double dram_wr, double,
+           double) {
+    read += dram_rd;
+    write += dram_wr;
+  }
+};
+
+/// The traffic walker: visits every tensor edge, then every layer, of a
+/// dataflow built once, and hands each contribution to `Sink::add` in a
+/// fixed order. compute_traffic and DramObjective differ only in the sink.
+template <class Sink>
 class TrafficBuilder {
  public:
-  TrafficBuilder(const Network& net, const Schedule& sched)
-      : net_(net), sched_(sched), df_(build_dataflow(net)),
-        n_(sched.mini_batch), masks_(uses_relu_masks(sched.config)) {}
+  TrafficBuilder(const Network& net, const Dataflow& df,
+                 const Schedule& sched, Sink& sink)
+      : net_(net), sched_(sched), df_(df), group_of_(group_table(net, sched)),
+        n_(sched.mini_batch), masks_(uses_relu_masks(sched.config)),
+        sink_(sink) {}
 
-  Traffic run() {
+  void run() {
     for (std::size_t ti = 0; ti < df_.tensors.size(); ++ti)
       emit_tensor(static_cast<int>(ti));
     for (std::size_t fi = 0; fi < df_.layers.size(); ++fi)
       emit_layer(static_cast<int>(fi));
-    return std::move(out_);
   }
 
  private:
+  const Group& group_of(int block) const {
+    return sched_.groups[static_cast<std::size_t>(
+        group_of_[static_cast<std::size_t>(block)])];
+  }
+
   /// Does the edge tensor->consumer move through DRAM?
   bool edge_via_dram(int tensor, int consumer_flat) const {
     const TensorInfo& t = df_.tensors[static_cast<std::size_t>(tensor)];
@@ -197,8 +281,8 @@ class TrafficBuilder {
     }
 
     // Serialized configs: group boundaries always spill.
-    if (sched_.group_of_block(t.producer_block) !=
-        sched_.group_of_block(c.block))
+    if (group_of_[static_cast<std::size_t>(t.producer_block)] !=
+        group_of_[static_cast<std::size_t>(c.block)])
       return true;
     if (uses_inter_branch_reuse(cfg)) return false;
     // MBS1 / MBS-FS: no cross-branch provisioning. A block input is only
@@ -219,20 +303,7 @@ class TrafficBuilder {
 
   void add(int flat, Phase phase, TrafficClass cls, double dram_rd,
            double dram_wr, double buf_rd, double buf_wr) {
-    const FlatLayer& fl = df_.layers[static_cast<std::size_t>(flat)];
-    TrafficRecord r;
-    r.block = fl.block;
-    r.layer = fl.layer;
-    r.kind = fl.l->kind;
-    r.is_gemm = fl.l->is_gemm();
-    r.phase = phase;
-    r.cls = cls;
-    r.dram_read = dram_rd;
-    r.dram_write = dram_wr;
-    // Every DRAM transfer also moves through the global buffer.
-    r.buf_read = buf_rd + dram_wr;
-    r.buf_write = buf_wr + dram_rd;
-    out_.records.push_back(r);
+    sink_.add(flat, phase, cls, dram_rd, dram_wr, buf_rd, buf_wr);
   }
 
   /// Emits forward feature movement, stash writes, gradient movement and
@@ -385,8 +456,7 @@ class TrafficBuilder {
     add(fi, Phase::kForward, TrafficClass::kStash, 0, p, 0, 0);
     add(fi, Phase::kBackward, TrafficClass::kStash, p, 0, 0, 0);
 
-    const int g = sched_.group_of_block(fl.block);
-    const std::int64_t sub = sched_.groups[static_cast<std::size_t>(g)].sub_batch;
+    const std::int64_t sub = group_of(fl.block).sub_batch;
     if (sub * score_ps <= sched_.buffer_bytes) {
       // Scores/P shuttle through the buffer: GEMM1 writes scores, the
       // softmax reads them in place; backward re-reads P (for dV and the
@@ -413,7 +483,7 @@ class TrafficBuilder {
     }
     const double w = static_cast<double>(l.param_bytes(kFeat));
     if (w == 0) return;
-    const int it = sched_.iterations_of_block(fl.block);
+    const int it = group_of(fl.block).iterations;
 
     if (l.kind == LayerKind::kNorm) {
       // GN scale/shift parameters are small enough to stay on chip for the
@@ -437,10 +507,11 @@ class TrafficBuilder {
 
   const Network& net_;
   const Schedule& sched_;
-  Dataflow df_;
+  const Dataflow& df_;
+  std::vector<int> group_of_;
   int n_;
   bool masks_;
-  Traffic out_;
+  Sink& sink_;
 };
 
 }  // namespace
@@ -524,11 +595,25 @@ std::vector<LayerBytes> layer_bytes(const core::Network& net,
 }
 
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule) {
-  return TrafficBuilder(net, schedule).run();
+  const Dataflow df = build_dataflow(net);
+  RecordSink sink{df, {}};
+  TrafficBuilder<RecordSink>(net, df, schedule, sink).run();
+  return std::move(sink.out);
+}
+
+DramObjective::DramObjective(const core::Network& net)
+    : net_(net), df_(std::make_unique<const Dataflow>(build_dataflow(net))) {}
+
+DramObjective::~DramObjective() = default;
+
+double DramObjective::operator()(const Schedule& schedule) const {
+  DramSink sink;
+  TrafficBuilder<DramSink>(net_, *df_, schedule, sink).run();
+  return sink.read + sink.write;
 }
 
 double dram_traffic_bytes(const core::Network& net, const Schedule& schedule) {
-  return compute_traffic(net, schedule).dram_bytes();
+  return DramObjective(net)(schedule);
 }
 
 }  // namespace mbs::sched

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/network.h"
@@ -77,7 +78,27 @@ std::vector<LayerBytes> layer_bytes(const core::Network& net,
 /// are per core (the paper reports per-chip numbers as 2x this).
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule);
 
-/// Convenience: total DRAM bytes per step (used as the greedy/DP objective).
+struct Dataflow;
+
+/// Total DRAM bytes per step of a schedule over one network: the objective
+/// that greedy, DP and non-contiguous grouping minimize. The dataflow graph
+/// is built once, at construction; each call runs the compute_traffic walker
+/// with a sink that keeps only the DRAM read and write totals, and returns
+/// exactly compute_traffic(net, schedule).dram_bytes(), bit for bit. `net`
+/// must outlive the objective.
+class DramObjective {
+ public:
+  explicit DramObjective(const core::Network& net);
+  ~DramObjective();
+
+  double operator()(const Schedule& schedule) const;
+
+ private:
+  const core::Network& net_;
+  std::unique_ptr<const Dataflow> df_;
+};
+
+/// Convenience: total DRAM bytes per step, DramObjective(net)(schedule).
 double dram_traffic_bytes(const core::Network& net, const Schedule& schedule);
 
 }  // namespace mbs::sched

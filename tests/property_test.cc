@@ -120,11 +120,12 @@ TEST_P(RandomBlockProperties, InceptionFootprintOrdering) {
     const int n_branches = 2 + static_cast<int>(rng.uniform_int(3));
     for (int b = 0; b < n_branches; ++b) {
       std::vector<Layer> chain;
-      chain.push_back(core::make_conv("b" + std::to_string(b), in,
-                                      16 << rng.uniform_int(3), 1, 1, 0));
+      std::string name = "b";
+      name += std::to_string(b);
+      chain.push_back(
+          core::make_conv(name, in, 16 << rng.uniform_int(3), 1, 1, 0));
       if (rng.uniform() < 0.5)
-        chain.push_back(core::make_conv("b" + std::to_string(b) + "x",
-                                        chain.back().out,
+        chain.push_back(core::make_conv(name + "x", chain.back().out,
                                         16 << rng.uniform_int(3), 3, 1, 1));
       branches.push_back(std::move(chain));
     }
@@ -332,6 +333,14 @@ TEST_P(CycleBackendProperties, LargerScratchpadNeverIncreasesCycleTime) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleBackendProperties, ::testing::Range(1, 5));
 
+/// Sweep options for `threads` workers with schedule grouping on.
+engine::SweepOptions grouped_sweep(int threads) {
+  engine::SweepOptions options;
+  options.threads = threads;
+  options.group_by_schedule = true;
+  return options;
+}
+
 TEST(CycleBackendDeterminism, SweepInvariantUnderThreadsAndShards) {
   // Cycle-backend sweep results are bit-identical whatever the thread count
   // or shard plan — the same determinism contract the analytic backend has.
@@ -350,15 +359,15 @@ TEST(CycleBackendDeterminism, SweepInvariantUnderThreadsAndShards) {
       }
 
   engine::Evaluator serial_eval;
-  engine::SweepRunner serial(engine::SweepOptions{1, true});
+  engine::SweepRunner serial(grouped_sweep(1));
   const auto reference = serial.run(grid, serial_eval);
 
   engine::Evaluator threaded_eval;
-  engine::SweepRunner threaded(engine::SweepOptions{8, true});
+  engine::SweepRunner threaded(grouped_sweep(8));
   const auto parallel = threaded.run(grid, threaded_eval);
 
   engine::Evaluator shard_evals[2];
-  engine::SweepRunner runner{engine::SweepOptions{2, true}};
+  engine::SweepRunner runner{grouped_sweep(2)};
   const auto shard0 =
       runner.run_sharded(grid, shard_evals[0], engine::ShardPlan{0, 2});
   const auto shard1 =
@@ -522,15 +531,15 @@ TEST(AttentionTraffic, SweepInvariantUnderThreadsAndShardsWithSeq) {
     }
 
   engine::Evaluator serial_eval;
-  engine::SweepRunner serial(engine::SweepOptions{1, true});
+  engine::SweepRunner serial(grouped_sweep(1));
   const auto reference = serial.run(grid, serial_eval);
 
   engine::Evaluator threaded_eval;
-  engine::SweepRunner threaded(engine::SweepOptions{8, true});
+  engine::SweepRunner threaded(grouped_sweep(8));
   const auto parallel = threaded.run(grid, threaded_eval);
 
   engine::Evaluator shard_evals[2];
-  engine::SweepRunner runner{engine::SweepOptions{2, true}};
+  engine::SweepRunner runner{grouped_sweep(2)};
   const auto shard0 =
       runner.run_sharded(grid, shard_evals[0], engine::ShardPlan{0, 2});
   const auto shard1 =

@@ -3,7 +3,9 @@
 // orderings the paper's evaluation rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -21,6 +23,9 @@ using core::Network;
 const ExecConfig kAllConfigs[] = {ExecConfig::kBaseline, ExecConfig::kArchOpt,
                                   ExecConfig::kIL,       ExecConfig::kMbsFs,
                                   ExecConfig::kMbs1,     ExecConfig::kMbs2};
+
+/// Global-buffer sizes the grouping searches are checked at, in MiB.
+const int kObjectiveBufferMiB[] = {4, 10, 16, 32};
 
 // ---- Basic helpers ----------------------------------------------------------
 
@@ -225,17 +230,92 @@ TEST(Grouping, GreedyNeverWorseThanInitialOrFs) {
 
 TEST(Grouping, DpOptimalNeverWorseThanGreedy) {
   // Footnote 1: exhaustive grouping improves traffic by roughly 1%.
-  ScheduleParams opt;
-  opt.optimal_grouping = true;
-  for (const auto& name : {"resnet50", "alexnet"}) {
+  for (const std::string& name : models::all_network_names()) {
     const Network net = models::make_network(name);
-    const double greedy =
-        dram_traffic_bytes(net, build_schedule(net, ExecConfig::kMbs2));
-    const double dp = dram_traffic_bytes(
-        net, build_schedule(net, ExecConfig::kMbs2, opt));
-    EXPECT_LE(dp, greedy * 1.0001) << name;
-    // ... and greedy stays close to optimal.
-    EXPECT_LE(greedy, dp * 1.08) << name;
+    for (ExecConfig cfg : {ExecConfig::kMbs1, ExecConfig::kMbs2})
+      for (int mib : kObjectiveBufferMiB) {
+        SCOPED_TRACE(name + " " + to_string(cfg) + " " +
+                     std::to_string(mib) + " MiB");
+        ScheduleParams p;
+        p.buffer_bytes = std::int64_t{mib} * 1024 * 1024;
+        const double greedy =
+            dram_traffic_bytes(net, build_schedule(net, cfg, p));
+        p.optimal_grouping = true;
+        const double dp = dram_traffic_bytes(net, build_schedule(net, cfg, p));
+        EXPECT_LE(dp, greedy * 1.0001);
+        // ... and greedy stays close to optimal. Checked at the default
+        // point only: AlexNet's greedy is 12.0% above the DP at 24 and
+        // 32 MiB, under MBS1 and MBS2 alike.
+        if (cfg == ExecConfig::kMbs2 && mib == 10 &&
+            (name == "resnet50" || name == "alexnet")) {
+          EXPECT_LE(greedy, dp * 1.08);
+        }
+      }
+  }
+}
+
+// ---- The grouping objective ------------------------------------------------
+
+/// `s` with its groups replaced by the contiguous ranges `groups`, each
+/// group's sub-batch the tightest member block's limit, as the scheduler
+/// sizes groups.
+Schedule regrouped(Schedule s, std::vector<Group> groups) {
+  for (Group& g : groups) {
+    g.sub_batch = s.mini_batch;
+    for (int b = g.first; b <= g.last; ++b)
+      g.sub_batch =
+          std::min(g.sub_batch, s.block_max_sub[static_cast<std::size_t>(b)]);
+    g.iterations = iterations_for(s.mini_batch, g.sub_batch);
+  }
+  s.groups = std::move(groups);
+  return s;
+}
+
+TEST(DramObjective, EqualsComputeTrafficBitForBit) {
+  // The record-free objective must return exactly the DRAM total of the
+  // materialized records, for every schedule the grouping searches score.
+  for (const std::string& name : models::all_network_names()) {
+    const Network net = models::make_network(name);
+    const DramObjective objective(net);
+    const int n = static_cast<int>(net.blocks.size());
+    const bool all_dp_candidates =
+        name == "alexnet" || name == "resnet50" || name == "vit_small" ||
+        name == "transformer_base";
+    for (ExecConfig cfg : {ExecConfig::kMbs1, ExecConfig::kMbs2})
+      for (int mib : kObjectiveBufferMiB) {
+        SCOPED_TRACE(name + " " + to_string(cfg) + " " +
+                     std::to_string(mib) + " MiB");
+        auto expect_exact = [&](const Schedule& s) {
+          EXPECT_EQ(objective(s), compute_traffic(net, s).dram_bytes());
+        };
+        ScheduleParams p;
+        p.buffer_bytes = std::int64_t{mib} * 1024 * 1024;
+        const Schedule greedy = build_schedule(net, cfg, p);
+        expect_exact(greedy);
+        ScheduleParams dp = p;
+        dp.optimal_grouping = true;
+        expect_exact(build_schedule(net, cfg, dp));
+        ScheduleParams noncontig = p;
+        noncontig.variant = GroupingVariant::kNonContiguous;
+        const Schedule relaxed = build_schedule(net, cfg, noncontig);
+        for (const Group& g : relaxed.groups) ASSERT_FALSE(g.members.empty());
+        expect_exact(relaxed);
+
+        std::vector<Group> singles;
+        for (int b = 0; b < n; ++b) singles.push_back(Group{b, b, 1, 1, {}});
+        expect_exact(regrouped(greedy, singles));
+        if (!all_dp_candidates) continue;
+        // Every DP candidate: blocks [i, j] merged, the rest singletons.
+        for (int i = 0; i < n; ++i)
+          for (int j = i + 1; j < n; ++j) {
+            std::vector<Group> groups;
+            for (int b = 0; b < i; ++b) groups.push_back(Group{b, b, 1, 1, {}});
+            groups.push_back(Group{i, j, 1, 1, {}});
+            for (int b = j + 1; b < n; ++b)
+              groups.push_back(Group{b, b, 1, 1, {}});
+            expect_exact(regrouped(greedy, std::move(groups)));
+          }
+      }
   }
 }
 
@@ -560,6 +640,21 @@ TEST(LayerBytesDeathTest, RejectsRecordsOutsideTheNetwork) {
   Traffic negative = t;
   negative.records.front().layer = -1;
   EXPECT_DEATH(layer_bytes(net, negative), "is not a layer of network");
+}
+
+TEST(TrafficDeathTest, RejectsBlocksWithoutAGroup) {
+  // An unowned block has no sub-batch for its attention scores and no
+  // iteration count for its weight traffic, so every walk refuses it.
+  const Network net = models::make_network("vit_small");
+  Schedule s = build_schedule(net, ExecConfig::kMbs2);
+  s.groups.back().last -= 1;
+  EXPECT_DEATH(compute_traffic(net, s), "belongs to no group of the schedule");
+  EXPECT_DEATH((void)DramObjective(net)(s),
+               "belongs to no group of the schedule");
+  Schedule empty = build_schedule(net, ExecConfig::kBaseline);
+  empty.groups.clear();
+  EXPECT_DEATH(compute_traffic(net, empty),
+               "block 0 of network '.*' belongs to no group");
 }
 
 }  // namespace

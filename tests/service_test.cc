@@ -62,8 +62,10 @@ std::string this_host() {
 /// A claim file name as the spool protocol spells it:
 /// u<unit>.g<generation>.<host>.<pid>.
 std::string claim_name(int unit, long gen, const std::string& host, long pid) {
-  return "u" + std::to_string(unit) + ".g" + std::to_string(gen) + "." + host +
-         "." + std::to_string(pid);
+  std::string name = "u";
+  name += std::to_string(unit) + ".g" + std::to_string(gen) + "." + host +
+          "." + std::to_string(pid);
+  return name;
 }
 
 /// Backdates a file's mtime by `ms` milliseconds (simulates a claim whose
@@ -756,7 +758,11 @@ TEST(MergeResultsTool, MissingShardFileFailsLoudly) {
   const std::string dir = test_dir("merge_missing");
 
   std::vector<std::vector<std::string>> rows;
-  for (int i = 0; i < 6; ++i) rows.push_back({"r" + std::to_string(i), "1"});
+  for (int i = 0; i < 6; ++i) {
+    std::string row = "r";
+    row += std::to_string(i);
+    rows.push_back({row, "1"});
+  }
   write_shards(dir, "gappy", "Fig. T: missing shard", {"row", "v"}, rows, 3);
   // Lose one export file (a worker died before flushing): the tool must
   // refuse the whole group, not silently merge a 2/3 document.
