@@ -28,8 +28,6 @@
 //                     cache-store activity to stderr at exit
 //   MBS_NO_SCHEDULE_GROUPS  =1: disable SweepRunner's schedule-group
 //                     batching (A/B timing; output is byte-identical)
-//   MBS_NO_CONV_CACHE =1: disable the training substrate's forward-to-
-//                     backward im2col reuse (A/B timing; byte-identical)
 //
 // The destructor saves the cache store, so a bench persists whatever it
 // computed for the next (warm) run.

@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -36,17 +35,6 @@ namespace {
 
 int out_dim(int in, int kernel, int stride, int pad) {
   return (in + 2 * pad - kernel) / stride + 1;
-}
-
-/// MBS_NO_CONV_CACHE=1 disables forward-to-backward im2col reuse (the
-/// A/B escape hatch for timing the redundancy): backward then re-lowers
-/// its input exactly like the pre-cache code, bit for bit.
-bool conv_cache_enabled() {
-  static const bool disabled = [] {
-    const char* env = std::getenv("MBS_NO_CONV_CACHE");
-    return env && *env && std::strcmp(env, "0") != 0;
-  }();
-  return !disabled;
 }
 
 struct ConvGeom {
@@ -185,7 +173,7 @@ void conv2d_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
   // geometry change that happens to keep the shape (e.g. a 3x1 kernel
   // followed by a 1x3 one) must re-zero the buffer.
   float* cols = nullptr;
-  if (cache && conv_cache_enabled()) {
+  if (cache) {
     if (cache->matches(x, kh, kw, stride, pad))
       cache->cols.ensure_shape({rows, k});  // padding zeros still valid
     else
@@ -201,7 +189,6 @@ void conv2d_forward_into(const Tensor& x, const Tensor& w, const Tensor& bias,
     cols = scope.floats(static_cast<std::int64_t>(rows) * k);
     std::memset(cols, 0,
                 static_cast<std::size_t>(rows) * k * sizeof(float));
-    if (cache) cache->valid = false;
   }
   im2col_into(x, kh, kw, stride, pad, pad, 0, n, cols);
 

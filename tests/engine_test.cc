@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,6 +24,8 @@
 #include "train/model.h"
 #include "train/trainer.h"
 #include "util/parallel.h"
+#include "util/fnv.h"
+#include "util/rng.h"
 #include "util/serde.h"
 
 namespace mbs::engine {
@@ -805,6 +809,64 @@ std::string test_cache_dir(const char* name) {
          std::to_string(static_cast<long>(::getpid()));
 }
 
+std::string read_bytes(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Every shard entry file under the store at `path`, sorted (quarantined
+/// files excluded).
+std::vector<std::string> shard_entry_files(const std::string& path) {
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(path + ".d")) {
+    const std::string file = entry.path().string();
+    if (entry.is_regular_file() &&
+        file.find("/quarantine/") == std::string::npos)
+      files.push_back(file);
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// One shard entry file split into its header fields and record body.
+struct ShardEntry {
+  std::string stamp, stage, key, body;
+};
+
+ShardEntry read_shard_entry(const std::string& file) {
+  const std::string text = read_bytes(file);
+  util::serde::Reader r(text);
+  ShardEntry e;
+  EXPECT_EQ(r.read_string(), "mbs-entry");
+  EXPECT_EQ(r.read_int(), CacheStore::kFormatVersion);
+  e.stamp = r.read_string();
+  e.stage = r.read_string();
+  e.key = r.read_string();
+  r.read_int();  // checksum
+  e.body = r.read_string();
+  EXPECT_FALSE(r.fail()) << file;
+  EXPECT_TRUE(r.at_end()) << file;
+  return e;
+}
+
+/// Writes `body` under `e`'s header with a freshly computed checksum, so
+/// the bytes reach the record reader instead of stopping at the checksum.
+void write_shard_entry(const std::string& file, const ShardEntry& e,
+                       const std::string& body) {
+  util::serde::Writer w;
+  w.put_string("mbs-entry");
+  w.put_int(CacheStore::kFormatVersion);
+  w.put_string(e.stamp);
+  w.put_string(e.stage);
+  w.put_string(e.key);
+  w.put_int(static_cast<std::int64_t>(util::fnv1a64(body)));
+  w.put_string(body);
+  std::ofstream(file, std::ios::binary | std::ios::trunc) << w.str() << "\n";
+}
+
 TEST(CacheStore, WarmRunMatchesColdRunAndSkipsAllComputation) {
   const std::string dir = test_cache_dir("warm");
   const std::string path = dir + "/evaluator.mbscache";
@@ -899,59 +961,44 @@ TEST(CacheStore, StepOnDiskLoadedTrafficMatchesColdStepBitForBit) {
 TEST(CacheStore, VersionStampMismatchStartsCold) {
   const std::string dir = test_cache_dir("stale");
   const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 
   const Scenario s = mbs2_scenario("alexnet");
+  sim::StepResult ref;
   {
     CacheStore store(path);
     Evaluator eval(&store);
-    eval.step(s);
-    // The single-file writer: the splice below needs the whole document in
-    // one file (the sharded layout stamps each entry instead).
-    ASSERT_TRUE(store.save_legacy_single_file());
+    ref = eval.step(s);
+    ASSERT_TRUE(store.save());
   }
-  // Corrupt the schema stamp: same framing, different schema version.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::size_t pos = doc.find("net2");
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, 4, "net0");
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
+  // Re-stamp every shard entry with the pre-attention schema stamp: same
+  // framing, valid checksum, another schema version.
+  const std::vector<std::string> files = shard_entry_files(path);
+  ASSERT_FALSE(files.empty());
+  for (const std::string& file : files) {
+    ShardEntry e = read_shard_entry(file);
+    e.stamp = "net1;sched2;traffic1;step1;gpu1;sys1;svc2";
+    write_shard_entry(file, e, e.body);
   }
   CacheStore stale(path);
   Evaluator eval(&stale);
-  eval.step(s);
-  EXPECT_EQ(stale.loaded_entries(), 0u);  // the stale file was discarded
+  EXPECT_TRUE(step_equal(eval.step(s), ref));
+  EXPECT_EQ(stale.loaded_entries(), 0u);  // every entry missed
+  // Another stamp is a plain miss, not corruption: the files stay put.
+  EXPECT_EQ(stale.corrupt_entries(), 0u);
+  EXPECT_EQ(shard_entry_files(path), files);
   const EvaluatorStats stats = eval.stats();
   EXPECT_EQ(stats.step_disk_hits, 0);
   EXPECT_EQ(stats.step_misses, 1);
-  // The recomputed entries land in the shard directory on save; the stale
-  // single file is simply never consulted again.
+  // The recomputed entries overwrite the re-stamped files on save.
   EXPECT_TRUE(stale.dirty());
   ASSERT_TRUE(stale.save());
   CacheStore reloaded(path);
   sim::StepResult out;
   EXPECT_TRUE(reloaded.load_step(s.cache_key(), &out));
-  std::remove(path.c_str());
-}
-
-TEST(CacheStore, MalformedFileStartsCold) {
-  const std::string dir = test_cache_dir("malformed");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "9:mbs-cache 1 not a valid cache document";
-  }
-  CacheStore store(path);
-  sim::StepResult unused;
-  EXPECT_FALSE(store.load_step("anykey", &unused));
-  EXPECT_EQ(store.loaded_entries(), 0u);
-  std::remove(path.c_str());
+  EXPECT_TRUE(step_equal(out, ref));
+  EXPECT_EQ(reloaded.corrupt_entries(), 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // ---- Shard-then-merge determinism -------------------------------------------
@@ -1125,192 +1172,6 @@ TEST(CacheStore, SystolicEntriesPersistAndWarmStartFromDisk) {
   std::remove(path.c_str());
 }
 
-TEST(CacheStore, LegacyPreSystolicStampStillLoadsWarm) {
-  const std::string dir = test_cache_dir("legacy");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    ref = eval.step(s);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  // Rewind the stamp to its pre-systolic value (serde strings are
-  // length-prefixed, so splice prefix and payload together). The file then
-  // looks exactly like one written before the sys stage existed — no "sys"
-  // records, legacy stamp — and must still load warm, not start cold.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string legacy =
-        std::to_string(std::strlen(CacheStore::kLegacySchemaStamp)) + ":" +
-        CacheStore::kLegacySchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), legacy);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  CacheStore legacy_store(path);
-  Evaluator eval(&legacy_store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);
-  EXPECT_EQ(stats.step_misses, 1);
-  EXPECT_GT(legacy_store.loaded_entries(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CacheStore, PreServiceSingleFileStampStillLoadsWarm) {
-  const std::string dir = test_cache_dir("preservice");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    ref = eval.step(s);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  // Rewind the stamp to its pre-service value: the file then looks exactly
-  // like a single-file store written before the sharded layout existed,
-  // and must load warm — upgrading the binary must not cold-start caches.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string pre_service =
-        std::to_string(std::strlen(CacheStore::kPreServiceSchemaStamp)) +
-        ":" + CacheStore::kPreServiceSchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), pre_service);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  CacheStore pre_store(path);
-  Evaluator eval(&pre_store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);
-  EXPECT_GT(pre_store.loaded_entries(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CacheStore, PreAttentionStampStillLoadsWarmForCnns) {
-  const std::string dir = test_cache_dir("preattn_cnn");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    ref = eval.step(s);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  // Rewind the stamp to its pre-attention (net1) value: a CNN cache
-  // written before the attention kind landed. Nothing in a CNN record
-  // changed, so it must load warm — the real-attention PR must not
-  // cold-start the CNN caches in the wild.
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string pre_attention =
-        std::to_string(std::strlen(CacheStore::kPreAttentionSchemaStamp)) +
-        ":" + CacheStore::kPreAttentionSchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), pre_attention);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  CacheStore pre_store(path);
-  Evaluator eval(&pre_store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);
-  EXPECT_GT(pre_store.loaded_entries(), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(CacheStore, PreAttentionTransformerRecordsAreStale) {
-  const std::string dir = test_cache_dir("preattn_vit");
-  const std::string path = dir + "/evaluator.mbscache";
-  std::remove(path.c_str());
-
-  // One CNN and one transformer scenario share the store.
-  const Scenario cnn = mbs2_scenario("alexnet");
-  const Scenario vit = mbs2_scenario("vit_small");
-  sim::StepResult cnn_ref;
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    cnn_ref = eval.step(cnn);
-    eval.step(vit);
-    ASSERT_TRUE(store.save_legacy_single_file());
-  }
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string doc = text.str();
-    const std::string current =
-        std::to_string(std::strlen(CacheStore::kSchemaStamp)) + ":" +
-        CacheStore::kSchemaStamp;
-    const std::string pre_attention =
-        std::to_string(std::strlen(CacheStore::kPreAttentionSchemaStamp)) +
-        ":" + CacheStore::kPreAttentionSchemaStamp;
-    const std::size_t pos = doc.find(current);
-    ASSERT_NE(pos, std::string::npos);
-    doc.replace(pos, current.size(), pre_attention);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << doc;
-  }
-  // Under the pre-attention stamp the transformer entries describe the
-  // stand-in convs, not real attention — serving them would resurrect the
-  // phantom flops. They must miss (and recompute); the CNN entries in the
-  // very same file must still hit.
-  CacheStore pre_store(path);
-  Evaluator eval(&pre_store);
-  EXPECT_TRUE(step_equal(eval.step(cnn), cnn_ref));
-  eval.step(vit);
-  const EvaluatorStats stats = eval.stats();
-  EXPECT_EQ(stats.step_disk_hits, 1);  // the CNN
-  EXPECT_EQ(stats.step_misses, 2);
-  // Re-saving upgrades the store: a third process now loads the
-  // transformer entry warm under the current stamp.
-  ASSERT_TRUE(pre_store.dirty());
-  ASSERT_TRUE(pre_store.save());
-  CacheStore upgraded(path);
-  sim::StepResult out;
-  EXPECT_TRUE(upgraded.load_step(vit.cache_key(), &out));
-  std::remove(path.c_str());
-}
-
 TEST(CacheStore, CorruptShardEntryMissesOnlyThatKey) {
   const std::string dir = test_cache_dir("shard_corrupt");
   const std::string path = dir + "/evaluator.mbscache";
@@ -1462,57 +1323,166 @@ TEST(CacheStore, ZeroLengthShardFileMissesCleanly) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CacheStore, PreChecksumShardEntriesStillLoadWarm) {
-  const std::string dir = test_cache_dir("svc1");
+TEST(CacheStore, HugeLayerCountIsQuarantinedNotAllocated) {
+  const std::string dir = test_cache_dir("huge_count");
   const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
 
   const Scenario s = mbs2_scenario("alexnet");
-  sim::StepResult ref;
   {
     CacheStore store(path);
     Evaluator eval(&store);
-    ref = eval.step(s);
+    eval.network(s);
     ASSERT_TRUE(store.save());
   }
-  // Rewrite every shard record to the pre-checksum (svc1) layout: same
-  // header minus the checksum token, record tokens inline instead of
-  // length-prefixed. Stores written before checksums shipped must still
-  // load warm — upgrading the binary must not cold-start fleet caches.
-  std::size_t rewritten = 0;
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(path + ".d")) {
-    if (!entry.is_regular_file()) continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream text;
-    text << in.rdbuf();
-    const std::string doc = text.str();  // Reader views, must outlive it
-    util::serde::Reader r(doc);
-    ASSERT_EQ(r.read_string(), "mbs-entry");
-    const std::int64_t version = r.read_int();
-    r.read_string();  // svc2 stamp, replaced below
-    const std::string stage = r.read_string();
-    const std::string key = r.read_string();
-    r.read_int();  // checksum, dropped
-    const std::string body = r.read_string();
-    ASSERT_FALSE(r.fail());
-    util::serde::Writer w;
-    w.put_string("mbs-entry");
-    w.put_int(version);
-    w.put_string(CacheStore::kPreChecksumSchemaStamp);
-    w.put_string(stage);
-    w.put_string(key);
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out << w.str() << body << "\n";
-    ++rewritten;
-  }
-  ASSERT_GT(rewritten, 0u);
+  const std::vector<std::string> files = shard_entry_files(path);
+  ASSERT_EQ(files.size(), 1u);
+  ShardEntry e = read_shard_entry(files[0]);
+  ASSERT_EQ(e.stage, "net");
+  // A checksum-valid network record whose one branch claims 4e18 layers.
+  // The count must not size an allocation: the reader stops at the first
+  // missing layer and the entry is quarantined as a parse failure.
+  util::serde::Writer body;
+  body.put_string("alexnet");
+  for (int v : {3, 227, 227, 32}) body.put_int(v);  // input, mini-batch
+  body.put_int(1);  // blocks
+  body.put_int(0);  // block kind
+  body.put_string("b0");
+  for (int v : {3, 227, 227, 3, 227, 227}) body.put_int(v);  // in, out
+  body.put_int(1);                    // branches
+  body.put_int(4000000000000000000);  // the branch's layer count
+  write_shard_entry(files[0], e, body.str());
 
   CacheStore store(path);
-  Evaluator eval(&store);
-  const sim::StepResult& warm = eval.step(s);
-  EXPECT_TRUE(step_equal(warm, ref));
-  EXPECT_EQ(eval.stats().step_disk_hits, 1);
-  EXPECT_EQ(store.corrupt_entries(), 0u);
+  core::Network out;
+  EXPECT_FALSE(store.load_network(e.key, &out));
+  EXPECT_EQ(store.corrupt_entries(), 1u);
+  EXPECT_TRUE(shard_entry_files(path).empty());  // moved to quarantine
+  std::filesystem::remove_all(dir);
+}
+
+/// Loads `key` from `from` through the stage's load_* call; on a hit, puts
+/// the value into `to` when one is given.
+template <typename T>
+bool load_and_copy(CacheStore& from, CacheStore* to, const std::string& key,
+                   bool (CacheStore::*load)(const std::string&, T*),
+                   void (CacheStore::*put)(const std::string&, const T&)) {
+  T v;
+  if (!(from.*load)(key, &v)) return false;
+  if (to) (to->*put)(key, v);
+  return true;
+}
+
+bool load_stage(const std::string& stage, CacheStore& from,
+                const std::string& key, CacheStore* to = nullptr) {
+  if (stage == "net")
+    return load_and_copy(from, to, key, &CacheStore::load_network,
+                         &CacheStore::put_network);
+  if (stage == "sched")
+    return load_and_copy(from, to, key, &CacheStore::load_schedule,
+                         &CacheStore::put_schedule);
+  if (stage == "traffic")
+    return load_and_copy(from, to, key, &CacheStore::load_traffic,
+                         &CacheStore::put_traffic);
+  if (stage == "step")
+    return load_and_copy(from, to, key, &CacheStore::load_step,
+                         &CacheStore::put_step);
+  if (stage == "gpu")
+    return load_and_copy(from, to, key, &CacheStore::load_gpu_step,
+                         &CacheStore::put_gpu_step);
+  EXPECT_EQ(stage, "sys");
+  return load_and_copy(from, to, key, &CacheStore::load_systolic_step,
+                       &CacheStore::put_systolic_step);
+}
+
+/// One deterministic mutation of a record body: a bit flip, a truncation,
+/// or a digit run (up to 20 digits, so past int64) spliced over an
+/// integer token such as a count field.
+std::string mutate_body(const std::string& body, util::Rng& rng) {
+  std::string out = body;
+  switch (rng.uniform_int(3)) {
+    case 0:
+      out[rng.uniform_int(out.size())] ^=
+          static_cast<char>(1u << rng.uniform_int(8));
+      break;
+    case 1:
+      out.resize(rng.uniform_int(out.size()));
+      break;
+    default: {
+      std::vector<std::pair<std::size_t, std::size_t>> ints;  // [at, end)
+      for (std::size_t at = 0; at < out.size();) {
+        const std::size_t end = std::min(out.find(' ', at), out.size());
+        const std::size_t from = at + (out[at] == '-' ? 1 : 0);
+        if (from < end && out.find_first_not_of("0123456789", from) >= end)
+          ints.emplace_back(at, end);
+        at = end + 1;
+      }
+      if (ints.empty()) break;
+      const auto [at, end] = ints[rng.uniform_int(ints.size())];
+      std::string digits(1 + rng.uniform_int(20), '0');
+      for (char& c : digits) c = static_cast<char>('0' + rng.uniform_int(10));
+      out.replace(at, end - at, digits);
+    }
+  }
+  return out;
+}
+
+TEST(CacheStore, MutatedShardEntriesLoadOrQuarantineWithoutCrashing) {
+  const std::string dir = test_cache_dir("mutate");
+  const std::string path = dir + "/evaluator.mbscache";
+  const std::string copy_path = dir + "/copy.mbscache";
+  std::filesystem::remove_all(dir);
+
+  // One entry per stage: the analytic scenario writes net, sched, traffic
+  // and step; the GPU and systolic devices add gpu and sys.
+  {
+    CacheStore store(path);
+    Evaluator eval(&store);
+    Scenario s = mbs2_scenario("alexnet");
+    for (const Device d : {Device::kWaveCore, Device::kGpu, Device::kSystolic}) {
+      s.device = d;
+      evaluate_scenario(s, eval);
+    }
+    ASSERT_TRUE(store.save());
+  }
+  std::map<std::string, std::string> by_stage;  // stage -> first file
+  for (const std::string& file : shard_entry_files(path))
+    by_stage.emplace(read_shard_entry(file).stage, file);
+  ASSERT_EQ(by_stage.size(), 6u);
+
+  // Unmutated entries round-trip write -> read -> write byte-identically.
+  {
+    CacheStore from(path);
+    CacheStore to(copy_path);
+    for (const auto& [stage, file] : by_stage) {
+      const ShardEntry e = read_shard_entry(file);
+      ASSERT_TRUE(load_stage(stage, from, e.key, &to)) << stage;
+    }
+    ASSERT_TRUE(to.save());
+    for (const auto& [stage, file] : by_stage) {
+      const std::string copy =
+          copy_path + ".d" + file.substr(path.size() + 2);
+      EXPECT_EQ(read_bytes(copy), read_bytes(file)) << stage;
+    }
+  }
+
+  // Mutated, re-checksummed bodies: every load returns, and an entry that
+  // does not parse is quarantined rather than served or left in place.
+  util::Rng rng(42);
+  constexpr int kMutationsPerStage = 150;
+  for (const auto& [stage, file] : by_stage) {
+    const ShardEntry e = read_shard_entry(file);
+    int quarantined = 0;
+    for (int i = 0; i < kMutationsPerStage; ++i) {
+      write_shard_entry(file, e, mutate_body(e.body, rng));
+      CacheStore store(path);
+      const bool hit = load_stage(stage, store, e.key);
+      EXPECT_EQ(store.corrupt_entries(), hit ? 0u : 1u) << stage << " " << i;
+      quarantined += hit ? 0 : 1;
+    }
+    EXPECT_GT(quarantined, 0) << stage;
+    write_shard_entry(file, e, e.body);
+  }
   std::filesystem::remove_all(dir);
 }
 
