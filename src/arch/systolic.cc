@@ -190,7 +190,7 @@ SystolicStepResult simulate_systolic_step(const core::Network& net,
   const SystolicConfig& cfg = p.array;
   const Dataflow df = p.options.dataflow;
 
-  const std::vector<sched::LayerBytes> by_layer =
+  const std::vector<sched::LayerBytes>& by_layer =
       sched::layer_bytes(net, traffic);
 
   const double dram_bpc = p.dram_bw_bytes_per_s > 0

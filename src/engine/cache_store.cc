@@ -2,18 +2,22 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
+#include <system_error>
 #include <thread>
-#include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "util/env.h"
 #include "util/fault.h"
 #include "util/fnv.h"
+#include "util/parallel.h"
 #include "util/serde.h"
 
 namespace mbs::engine {
@@ -90,7 +94,7 @@ std::vector<core::Layer> read_layers(Reader& r) {
   return out;
 }
 
-void write_network(Writer& w, const core::Network& net) {
+void write_body(Writer& w, const core::Network& net) {
   w.put_string(net.name);
   write_shape(w, net.input);
   w.put_int(net.mini_batch_per_core);
@@ -130,7 +134,7 @@ core::Network read_network(Reader& r) {
   return net;
 }
 
-void write_schedule(Writer& w, const sched::Schedule& s) {
+void write_body(Writer& w, const sched::Schedule& s) {
   w.put_int(static_cast<int>(s.config));
   w.put_int(s.mini_batch);
   w.put_int(s.buffer_bytes);
@@ -175,43 +179,46 @@ sched::Schedule read_schedule(Reader& r) {
   return s;
 }
 
-void write_traffic(Writer& w, const sched::Traffic& t) {
-  w.put_int(static_cast<std::int64_t>(t.records.size()));
-  for (const sched::TrafficRecord& rec : t.records) {
-    w.put_int(rec.block);
-    w.put_int(rec.layer);
-    w.put_int(static_cast<int>(rec.kind));
-    w.put_int(rec.is_gemm ? 1 : 0);
-    w.put_int(static_cast<int>(rec.phase));
-    w.put_int(static_cast<int>(rec.cls));
-    w.put_double(rec.dram_read);
-    w.put_double(rec.dram_write);
-    w.put_double(rec.buf_read);
-    w.put_double(rec.buf_write);
+void write_body(Writer& w, const sched::Traffic& t) {
+  w.put_int(t.record_count);
+  w.put_double(t.dram_read);
+  w.put_double(t.dram_write);
+  w.put_double(t.buffer);
+  for (double v : t.class_dram) w.put_double(v);
+  w.put_int(static_cast<std::int64_t>(t.block_dram.size()));
+  for (double v : t.block_dram) w.put_double(v);
+  w.put_int(static_cast<std::int64_t>(t.layers.size()));
+  for (const sched::LayerBytes& lb : t.layers) {
+    w.put_double(lb.dram[0]);
+    w.put_double(lb.dram[1]);
+    w.put_double(lb.buf[0]);
+    w.put_double(lb.buf[1]);
   }
 }
 
 sched::Traffic read_traffic(Reader& r) {
   sched::Traffic t;
-  const std::int64_t n = r.read_int();
-  for (std::int64_t i = 0; i < n && !r.fail(); ++i) {
-    sched::TrafficRecord rec;
-    rec.block = static_cast<int>(r.read_int());
-    rec.layer = static_cast<int>(r.read_int());
-    rec.kind = static_cast<core::LayerKind>(r.read_int());
-    rec.is_gemm = r.read_int() != 0;
-    rec.phase = static_cast<sched::Phase>(r.read_int());
-    rec.cls = static_cast<sched::TrafficClass>(r.read_int());
-    rec.dram_read = r.read_double();
-    rec.dram_write = r.read_double();
-    rec.buf_read = r.read_double();
-    rec.buf_write = r.read_double();
-    t.records.push_back(rec);
+  t.record_count = r.read_int();
+  t.dram_read = r.read_double();
+  t.dram_write = r.read_double();
+  t.buffer = r.read_double();
+  for (double& v : t.class_dram) v = r.read_double();
+  const std::int64_t nblocks = r.read_int();
+  for (std::int64_t i = 0; i < nblocks && !r.fail(); ++i)
+    t.block_dram.push_back(r.read_double());
+  const std::int64_t nlayers = r.read_int();
+  for (std::int64_t i = 0; i < nlayers && !r.fail(); ++i) {
+    sched::LayerBytes lb;
+    lb.dram[0] = r.read_double();
+    lb.dram[1] = r.read_double();
+    lb.buf[0] = r.read_double();
+    lb.buf[1] = r.read_double();
+    t.layers.push_back(lb);
   }
   return t;
 }
 
-void write_step(Writer& w, const sim::StepResult& s) {
+void write_body(Writer& w, const sim::StepResult& s) {
   w.put_double(s.time_s);
   w.put_double(s.dram_bytes);
   w.put_double(s.buffer_bytes);
@@ -253,7 +260,7 @@ sim::StepResult read_step(Reader& r) {
   return s;
 }
 
-void write_gpu_step(Writer& w, const arch::GpuStepResult& s) {
+void write_body(Writer& w, const arch::GpuStepResult& s) {
   w.put_double(s.time_s);
   w.put_double(s.dram_bytes);
   w.put_double(s.compute_time_s);
@@ -271,7 +278,7 @@ arch::GpuStepResult read_gpu_step(Reader& r) {
   return s;
 }
 
-void write_systolic_step(Writer& w, const arch::SystolicStepResult& s) {
+void write_body(Writer& w, const arch::SystolicStepResult& s) {
   w.put_int(s.stats.comp_cycles);
   w.put_int(s.stats.stall_cycles);
   w.put_double(s.stats.util);
@@ -357,7 +364,7 @@ std::string CacheStore::entry_file(const char* stage,
   const std::uint64_t h = util::fnv1a64(key);
   std::string name(16, '0');
   for (int i = 0; i < 16; ++i) name[15 - i] = hex_digit(h >> (4 * i));
-  return shard_dir() + "/" + stage + "/" + name + ".rec";
+  return shard_dir() + "/" + stage + "/" + name[0] + "/" + name + ".rec";
 }
 
 void CacheStore::quarantine_entry(const char* stage, const std::string& key) {
@@ -435,64 +442,153 @@ MBS_CACHE_STORE_STAGE(load_systolic_step, put_systolic_step, systolic_steps_,
 
 #undef MBS_CACHE_STORE_STAGE
 
+namespace {
+
+/// A pointer to a stored value of any stage, for save() to serialize.
+using Value = std::variant<const core::Network*, const sched::Schedule*,
+                           const sched::Traffic*, const sim::StepResult*,
+                           const arch::GpuStepResult*,
+                           const arch::SystolicStepResult*>;
+
+/// Entries per save lane: a save below two grains (a serve write-through,
+/// a spool unit) runs inline and starts no threads.
+constexpr std::size_t kSaveGrain = 64;
+
+}  // namespace
+
 bool CacheStore::save() {
-  // Serialize dirty entries under the lock, write them outside it.
-  std::vector<std::tuple<std::string, std::string, std::string>> pending;
+  // One save at a time: a save reads the entries it collected without mu_,
+  // and only the save that collected an entry erases its dirty mark.
+  std::lock_guard<std::mutex> saving(save_mu_);
+
+  struct Pending {
+    DirtySet::const_iterator id;
+    Value value;
+    util::FaultDecision fault;
+    long consults = 0;  ///< fault-site consults taken for this entry
+    int fanout = 0;     ///< first hex digit of the entry's file name
+    bool ok = false;
+  };
+  std::vector<Pending> pending;
   {
+    // Under mu_, only pointers: map nodes never move and stored values are
+    // never mutated, so the lanes serialize them without the lock.
     std::lock_guard<std::mutex> lock(mu_);
     if (dirty_.empty()) return true;
     pending.reserve(dirty_.size());
-    for (const auto& [stage, key] : dirty_) {
-      Writer body;
+    for (auto it = dirty_.begin(); it != dirty_.end(); ++it) {
+      const auto& [stage, key] = *it;
+      Pending p;
+      p.id = it;
       if (stage == "net")
-        write_network(body, networks_.at(key));
+        p.value = &networks_.at(key);
       else if (stage == "sched")
-        write_schedule(body, schedules_.at(key));
+        p.value = &schedules_.at(key);
       else if (stage == "traffic")
-        write_traffic(body, traffics_.at(key));
+        p.value = &traffics_.at(key);
       else if (stage == "step")
-        write_step(body, steps_.at(key));
+        p.value = &steps_.at(key);
       else if (stage == "gpu")
-        write_gpu_step(body, gpu_steps_.at(key));
+        p.value = &gpu_steps_.at(key);
       else
-        write_systolic_step(body, systolic_steps_.at(key));
-      // The record tokens are wrapped as one length-prefixed string with
-      // an fnv1a64 checksum in front: a torn write breaks the length or
-      // the checksum, never silently yields a shorter-but-parseable body.
-      Writer w;
-      w.put_string("mbs-entry");
-      w.put_int(kFormatVersion);
-      w.put_string(kSchemaStamp);
-      w.put_string(stage);
-      w.put_string(key);
-      w.put_int(static_cast<std::int64_t>(util::fnv1a64(body.str())));
-      w.put_string(body.str());
-      pending.emplace_back(stage, key, w.str());
+        p.value = &systolic_steps_.at(key);
+      pending.push_back(p);
     }
   }
+
   const long retries = util::env_int("MBS_CACHE_SAVE_RETRIES", 3, 0, 100);
   const long backoff_ms = util::env_int("MBS_CACHE_RETRY_MS", 10, 0, 60000);
-  bool all_ok = true;
-  for (const auto& [stage, key, text] : pending) {
-    bool ok = false;
-    for (long attempt = 0; attempt <= retries && !ok; ++attempt) {
-      if (attempt > 0 && backoff_ms > 0) {
+  // Fault decisions are taken serially in dirty_ order, one consult per
+  // attempt, so `cache.entry.write:fail@N` names the same entry at every
+  // thread budget. An injected failure is retried at once; the backoff is
+  // for real write errors, which the lanes retry without consulting.
+  for (Pending& p : pending) {
+    do {
+      p.fault = util::fault_point("cache.entry.write");
+    } while (p.fault.fail && ++p.consults <= retries);
+    if (!p.fault.fail) ++p.consults;
+    p.fanout = static_cast<int>(util::fnv1a64(p.id->second) >> 60);
+  }
+
+  auto write_entry = [&](Pending& p) {
+    if (p.fault.fail) return;
+    const auto& [stage, key] = *p.id;
+    Writer body;
+    std::visit([&](const auto* v) { write_body(body, *v); }, p.value);
+    // The record tokens are wrapped as one length-prefixed string with an
+    // fnv1a64 checksum in front: a torn write breaks the length or the
+    // checksum, never silently yields a shorter-but-parseable body.
+    Writer w;
+    w.put_string("mbs-entry");
+    w.put_int(kFormatVersion);
+    w.put_string(kSchemaStamp);
+    w.put_string(stage);
+    w.put_string(key);
+    w.put_int(static_cast<std::int64_t>(util::fnv1a64(body.str())));
+    w.put_string(body.str());
+    const std::string text = w.str() + "\n";
+    const std::string file = entry_file(stage.c_str(), key);
+    p.ok = util::fs::write_atomic(file, text, p.fault);
+    for (long attempt = p.consults; attempt <= retries && !p.ok; ++attempt) {
+      if (backoff_ms > 0)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(backoff_ms * attempt));
+      p.ok = util::fs::write_atomic(file, text, util::FaultDecision{});
+    }
+  };
+
+  // Lane k writes the entries whose fan-out digit is k modulo the lane
+  // count: no two lanes create files in one directory, and since the digit
+  // is a hash digit each lane gets its share of every stage. Lanes run on
+  // short-lived threads rather than the kernel pool: a save comes once per
+  // sweep, and pool workers would keep their malloc arenas pinned between
+  // saves.
+  const std::size_t lanes =
+      util::in_parallel_region()
+          ? 1
+          : std::min<std::size_t>(
+                static_cast<std::size_t>(util::thread_budget()),
+                pending.size() / kSaveGrain);
+  std::exception_ptr error;
+  std::mutex error_mu;
+  auto run_lane = [&](std::size_t lane) {
+    try {
+      for (Pending& p : pending)
+        if (static_cast<std::size_t>(p.fanout) % lanes == lane) write_entry(p);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  if (lanes <= 1) {
+    for (Pending& p : pending) write_entry(p);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(lanes - 1);
+    for (std::size_t lane = 1; lane < lanes; ++lane) {
+      try {
+        threads.emplace_back(run_lane, lane);
+      } catch (const std::system_error&) {
+        run_lane(lane);  // no thread to spare: write this lane here
       }
-      ok = util::fs::write_atomic(entry_file(stage.c_str(), key), text + "\n",
-                                  "cache.entry.write");
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ok) {
-      dirty_.erase({stage, key});
-    } else {
-      all_ok = false;
-      ++save_failures_;
-      std::fprintf(stderr,
-                   "CacheStore: giving up on %s/%s after %ld attempts\n",
-                   stage.c_str(), key.c_str(), retries + 1);
+    run_lane(0);
+    for (std::thread& t : threads) t.join();
+  }
+  // Every entry stays dirty; the next save() writes them again.
+  if (error) std::rethrow_exception(error);
+
+  bool all_ok = true;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const Pending& p : pending) {
+    if (p.ok) {
+      dirty_.erase(p.id);
+      continue;
     }
+    all_ok = false;
+    ++save_failures_;
+    std::fprintf(stderr, "CacheStore: giving up on %s/%s after %ld attempts\n",
+                 p.id->first.c_str(), p.id->second.c_str(), retries + 1);
   }
   return all_ok;
 }

@@ -10,9 +10,10 @@
 // round-trip exactly via util::serde's hex-float encoding).
 //
 // On-disk layout is content-addressed and sharded per entry: each record
-// lives in its own file
+// lives in its own file, fanned out by the first hex digit of its name as
+// git fans out its object directories,
 //
-//   <path>.d/<stage>/<fnv1a64(key) as 16 hex digits>.rec
+//   <path>.d/<stage>/<h[0]>/<h = fnv1a64(key) as 16 hex digits>.rec
 //
 // written via temp file + atomic rename. Because distinct keys land in
 // distinct files (each file embeds its full key; a hash collision reads as
@@ -21,6 +22,15 @@
 // directory concurrently without clobbering each other. save() is
 // incremental: only entries added since the last save touch disk. Nothing
 // is ever written to `<path>` itself; it only names the shard directory.
+//
+// save() collects pointers to the dirty values under the lock and
+// serializes them outside it: map nodes never move and a stored value is
+// never mutated. A large save writes on up to thread_budget() short-lived
+// threads; each lane owns the fan-out directories whose digit is its index
+// modulo the lane count, so no two lanes contend on one directory's lock. The `cache.entry.write` fault decisions are taken
+// serially in (stage, key) order first, so a fault spec hits the same
+// entry at every thread budget, and the files written are the same bytes
+// at the same paths.
 //
 // Every entry header carries a format version and a schema stamp covering
 // every serialized struct. Exactly one stamp is accepted: an entry under
@@ -63,11 +73,14 @@ class CacheStore {
   ///       every other layer kind keeps the net1 byte layout).
   /// sched2: Group gained the `members` list (non-contiguous grouping).
   /// sys1: the cycle-level systolic-step stage joined the store.
+  /// traffic2: traffic is the per-layer summary (record count, DRAM and
+  ///       buffer totals, per-class, per-block and per-layer sums), not
+  ///       the record list.
   /// svc2: shard entries carry a per-record fnv1a64 checksum over a
   ///       length-prefixed body, so torn writes are detected on load
   ///       (record layouts themselves unchanged).
   static constexpr const char* kSchemaStamp =
-      "net2;sched2;traffic1;step1;gpu1;sys1;svc2";
+      "net2;sched2;traffic2;step1;gpu1;sys1;svc2";
 
   explicit CacheStore(std::string path);
 
@@ -95,9 +108,11 @@ class CacheStore {
                          const arch::SystolicStepResult& v);
 
   /// Writes every entry added since the last save to its own shard file
-  /// (temp file + atomic rename; creates directories as needed). A failed
-  /// write is retried up to MBS_CACHE_SAVE_RETRIES times with a linear
-  /// MBS_CACHE_RETRY_MS backoff before the entry is left dirty for the
+  /// (temp file + atomic rename; creates directories as needed), on
+  /// several threads when there are at least two grains of entries and the
+  /// caller is not already in a parallel region. A failed write is retried
+  /// up to MBS_CACHE_SAVE_RETRIES times (real write errors after a linear
+  /// MBS_CACHE_RETRY_MS backoff) before the entry is left dirty for the
   /// next save(). Returns false if any write failed after retries, true
   /// otherwise (including the nothing-to-do case). Safe to call from many
   /// processes sharing one cache directory: equal keys write identical
@@ -131,6 +146,10 @@ class CacheStore {
 
   std::string path_;
 
+  using DirtySet = std::set<std::pair<std::string, std::string>>;
+
+  /// Held for a whole save(), so saves never overlap.
+  std::mutex save_mu_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, core::Network> networks_;
   std::unordered_map<std::string, sched::Schedule> schedules_;
@@ -138,9 +157,9 @@ class CacheStore {
   std::unordered_map<std::string, sim::StepResult> steps_;
   std::unordered_map<std::string, arch::GpuStepResult> gpu_steps_;
   std::unordered_map<std::string, arch::SystolicStepResult> systolic_steps_;
-  /// (stage tag, key) pairs not yet persisted; ordered so save() writes
-  /// deterministically.
-  std::set<std::pair<std::string, std::string>> dirty_;
+  /// (stage tag, key) pairs not yet persisted; ordered so save() takes its
+  /// fault decisions and reports failures deterministically.
+  DirtySet dirty_;
   std::size_t loaded_ = 0;
   std::size_t save_failures_ = 0;
   std::size_t corrupt_entries_ = 0;

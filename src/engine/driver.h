@@ -26,8 +26,6 @@
 //   MBS_RESULT_DIR    ResultSink CSV/JSON export directory
 //   MBS_ENGINE_STATS  =1: print per-stage computed/disk-loaded counts and
 //                     cache-store activity to stderr at exit
-//   MBS_NO_SCHEDULE_GROUPS  =1: disable SweepRunner's schedule-group
-//                     batching (A/B timing; output is byte-identical)
 //
 // The destructor saves the cache store, so a bench persists whatever it
 // computed for the next (warm) run.

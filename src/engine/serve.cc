@@ -59,7 +59,7 @@ std::string ServeCore::format_answer(const Scenario& s,
     return out;
   }
   if (s.stage == Stage::kTraffic) {
-    num(out, "records", static_cast<std::int64_t>(r.traffic->records.size()));
+    num(out, "records", r.traffic->record_count);
     num(out, "dram_bytes", r.traffic->dram_bytes());
     return out;
   }

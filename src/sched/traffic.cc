@@ -173,7 +173,7 @@ std::vector<int> group_table(const Network& net, const Schedule& sched) {
 /// Materializes every traffic contribution as a TrafficRecord.
 struct RecordSink {
   const Dataflow& df;
-  Traffic out;
+  std::vector<TrafficRecord> out;
 
   void add(int flat, Phase phase, TrafficClass cls, double dram_rd,
            double dram_wr, double buf_rd, double buf_wr) {
@@ -190,7 +190,38 @@ struct RecordSink {
     // Every DRAM transfer also moves through the global buffer.
     r.buf_read = buf_rd + dram_wr;
     r.buf_write = buf_wr + dram_rd;
-    out.records.push_back(r);
+    out.push_back(r);
+  }
+};
+
+/// Folds each contribution into a Traffic summary as it arrives, with the
+/// operations a fold over RecordSink's records would apply in that order.
+struct SummarySink {
+  const Dataflow& df;
+  Traffic out;
+
+  SummarySink(const Network& net, const Dataflow& dataflow) : df(dataflow) {
+    out.layers.resize(df.layers.size());
+    out.block_dram.resize(net.blocks.size());
+  }
+
+  void add(int flat, Phase phase, TrafficClass cls, double dram_rd,
+           double dram_wr, double buf_rd, double buf_wr) {
+    const double buf_read = buf_rd + dram_wr;
+    const double buf_write = buf_wr + dram_rd;
+    const double dram = dram_rd + dram_wr;
+    const double buf = buf_read + buf_write;
+    out.dram_read += dram_rd;
+    out.dram_write += dram_wr;
+    out.buffer += buf;
+    out.class_dram[static_cast<int>(cls)] += dram;
+    const FlatLayer& fl = df.layers[static_cast<std::size_t>(flat)];
+    out.block_dram[static_cast<std::size_t>(fl.block)] += dram;
+    LayerBytes& lb = out.layers[static_cast<std::size_t>(flat)];
+    const int ph = phase == Phase::kForward ? 0 : 1;
+    lb.dram[ph] += dram;
+    lb.buf[ph] += buf;
+    ++out.record_count;
   }
 };
 
@@ -210,7 +241,8 @@ struct DramSink {
 
 /// The traffic walker: visits every tensor edge, then every layer, of a
 /// dataflow built once, and hands each contribution to `Sink::add` in a
-/// fixed order. compute_traffic and DramObjective differ only in the sink.
+/// fixed order. compute_traffic, compute_traffic_records and DramObjective
+/// differ only in the sink.
 template <class Sink>
 class TrafficBuilder {
  public:
@@ -533,68 +565,33 @@ const char* to_string(Phase p) {
   return p == Phase::kForward ? "fwd" : "bwd";
 }
 
-double Traffic::dram_bytes() const {
-  return dram_read_bytes() + dram_write_bytes();
-}
-
-double Traffic::dram_read_bytes() const {
-  double total = 0;
-  for (const auto& r : records) total += r.dram_read;
-  return total;
-}
-
-double Traffic::dram_write_bytes() const {
-  double total = 0;
-  for (const auto& r : records) total += r.dram_write;
-  return total;
-}
-
-double Traffic::buffer_bytes() const {
-  double total = 0;
-  for (const auto& r : records) total += r.buf_read + r.buf_write;
-  return total;
-}
-
-double Traffic::dram_bytes_by_class(TrafficClass c) const {
-  double total = 0;
-  for (const auto& r : records)
-    if (r.cls == c) total += r.dram_read + r.dram_write;
-  return total;
-}
-
 double Traffic::dram_bytes_for_block(int block) const {
-  double total = 0;
-  for (const auto& r : records)
-    if (r.block == block) total += r.dram_read + r.dram_write;
-  return total;
+  if (block < 0 || static_cast<std::size_t>(block) >= block_dram.size())
+    return 0;
+  return block_dram[static_cast<std::size_t>(block)];
 }
 
-std::vector<LayerBytes> layer_bytes(const core::Network& net,
-                                    const Traffic& traffic) {
-  std::vector<int> block_offset(net.blocks.size() + 1, 0);
-  for (std::size_t b = 0; b < net.blocks.size(); ++b)
-    block_offset[b + 1] = block_offset[b] + net.blocks[b].layer_count();
-
-  std::vector<LayerBytes> out(static_cast<std::size_t>(block_offset.back()));
-  for (const TrafficRecord& r : traffic.records) {
-    const std::size_t b = static_cast<std::size_t>(r.block);
-    if (r.block < 0 || b >= net.blocks.size() || r.layer < 0 ||
-        r.layer >= block_offset[b + 1] - block_offset[b]) {
-      std::fprintf(stderr,
-                   "layer_bytes: traffic record (block %d, layer %d) is not "
-                   "a layer of network '%s'\n",
-                   r.block, r.layer, net.name.c_str());
-      std::abort();
-    }
-    LayerBytes& lb = out[static_cast<std::size_t>(block_offset[b] + r.layer)];
-    const int ph = r.phase == Phase::kForward ? 0 : 1;
-    lb.dram[ph] += r.dram_read + r.dram_write;
-    lb.buf[ph] += r.buf_read + r.buf_write;
+const std::vector<LayerBytes>& layer_bytes(const core::Network& net,
+                                           const Traffic& traffic) {
+  if (traffic.layers.size() != static_cast<std::size_t>(net.layer_count())) {
+    std::fprintf(stderr,
+                 "layer_bytes: traffic holds %zu layers, network '%s' has "
+                 "%d\n",
+                 traffic.layers.size(), net.name.c_str(), net.layer_count());
+    std::abort();
   }
-  return out;
+  return traffic.layers;
 }
 
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule) {
+  const Dataflow df = build_dataflow(net);
+  SummarySink sink(net, df);
+  TrafficBuilder<SummarySink>(net, df, schedule, sink).run();
+  return std::move(sink.out);
+}
+
+std::vector<TrafficRecord> compute_traffic_records(const core::Network& net,
+                                                   const Schedule& schedule) {
   const Dataflow df = build_dataflow(net);
   RecordSink sink{df, {}};
   TrafficBuilder<RecordSink>(net, df, schedule, sink).run();

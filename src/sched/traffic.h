@@ -34,6 +34,8 @@ const char* to_string(TrafficClass c);
 const char* to_string(Phase p);
 
 /// One aggregated traffic contribution, attributed to a layer and phase.
+/// The walker emits about eight per layer; compute_traffic folds them into
+/// a Traffic summary as it goes, and compute_traffic_records keeps them.
 struct TrafficRecord {
   int block = 0;           ///< block index in the network
   int layer = 0;           ///< layer index within the block (for_each_layer order)
@@ -47,36 +49,59 @@ struct TrafficRecord {
   double buf_write = 0;
 };
 
-/// All traffic of one training step on one core.
-struct Traffic {
-  std::vector<TrafficRecord> records;
-
-  double dram_bytes() const;
-  double dram_read_bytes() const;
-  double dram_write_bytes() const;
-  double buffer_bytes() const;
-  double dram_bytes_by_class(TrafficClass c) const;
-  /// DRAM bytes attributed to a single block.
-  double dram_bytes_for_block(int block) const;
-};
-
 /// DRAM and global-buffer bytes of one (block, layer), summed by phase.
 struct LayerBytes {
   double dram[2] = {0, 0};  ///< indexed by 0 = forward, 1 = backward
   double buf[2] = {0, 0};
 };
 
-/// Sums `traffic`'s records per (block, layer, phase) in record order. The
-/// result holds one cell per layer of `net` in flat execution order (blocks
-/// in order, each in Block::for_each_layer order), so (block b, layer l)
-/// sits at index layer_count(blocks 0..b-1) + l. Aborts on a record that
-/// names no layer of `net`.
-std::vector<LayerBytes> layer_bytes(const core::Network& net,
-                                    const Traffic& traffic);
+/// Number of TrafficClass values.
+constexpr int kTrafficClassCount = 7;
+
+/// All traffic of one training step on one core, as per-layer and per-step
+/// sums of the walker's records. Every sum is accumulated in record order
+/// with the same operations as a fold over compute_traffic_records(), so
+/// each accessor holds exactly the bits that fold gives. A record's buffer
+/// bytes are buf_read + buf_write, and every DRAM transfer also moves
+/// through the buffer (buf_read includes dram_write, buf_write dram_read).
+struct Traffic {
+  /// One cell per layer of the network in flat execution order (blocks in
+  /// order, each in Block::for_each_layer order).
+  std::vector<LayerBytes> layers;
+  /// DRAM read + write bytes per block.
+  std::vector<double> block_dram;
+  /// DRAM read + write bytes per TrafficClass.
+  double class_dram[kTrafficClassCount] = {};
+  double dram_read = 0;
+  double dram_write = 0;
+  double buffer = 0;  ///< buffer read + write bytes of every record
+  std::int64_t record_count = 0;
+
+  double dram_bytes() const { return dram_read + dram_write; }
+  double dram_read_bytes() const { return dram_read; }
+  double dram_write_bytes() const { return dram_write; }
+  double buffer_bytes() const { return buffer; }
+  double dram_bytes_by_class(TrafficClass c) const {
+    return class_dram[static_cast<int>(c)];
+  }
+  /// DRAM bytes attributed to a single block (0 for a block out of range).
+  double dram_bytes_for_block(int block) const;
+};
+
+/// The per-layer cells of `traffic`: (block b, layer l) sits at index
+/// layer_count(blocks 0..b-1) + l. Aborts when `traffic` does not hold one
+/// cell per layer of `net`.
+const std::vector<LayerBytes>& layer_bytes(const core::Network& net,
+                                           const Traffic& traffic);
 
 /// Computes the per-step traffic of `schedule` over `net`. All byte counts
 /// are per core (the paper reports per-chip numbers as 2x this).
 Traffic compute_traffic(const core::Network& net, const Schedule& schedule);
+
+/// The same walk as compute_traffic, keeping every record in emission
+/// order: record-level reporting and the tests that check the summary.
+std::vector<TrafficRecord> compute_traffic_records(const core::Network& net,
+                                                   const Schedule& schedule);
 
 struct Dataflow;
 

@@ -38,7 +38,7 @@ StepResult simulate_step(const core::Network& net,
                          const sched::Schedule& schedule,
                          const sched::Traffic& traffic,
                          const WaveCoreConfig& hw) {
-  const std::vector<sched::LayerBytes> by_layer =
+  const std::vector<sched::LayerBytes>& by_layer =
       sched::layer_bytes(net, traffic);
 
   const double dram_bw = hw.unlimited_dram_bw

@@ -131,16 +131,30 @@ void make_parent_dirs(const std::string& path) {
   }
 }
 
+// open(2) for writing, creating the parent directories only when the first
+// try finds one missing: a mkdir of an existing directory still takes the
+// parent's lock, which concurrent writers into one tree would contend on.
+int open_for_write(const std::string& path, int flags) {
+  int fd = open(path.c_str(), flags, 0666);
+  if (fd < 0 && errno == ENOENT) {
+    make_parent_dirs(path);
+    fd = open(path.c_str(), flags, 0666);
+  }
+  return fd;
+}
+
 // Write `text` straight to `path` (no tmp file) — used to materialize a
 // torn write at the final path, exactly as a crash mid-write would leave it.
 bool write_direct(const std::string& path, const char* data, size_t len) {
-  make_parent_dirs(path);
-  const int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
+  const int fd = open_for_write(path, O_WRONLY | O_CREAT | O_TRUNC);
   if (fd < 0) return false;
   const bool ok = write_all(fd, data, len);
   close(fd);
   return ok;
 }
+
+// Distinguishes the tmp files of concurrent writes within one process.
+std::atomic<long> g_tmp_seq{0};
 
 }  // namespace
 
@@ -203,7 +217,11 @@ namespace fs {
 
 bool write_atomic(const std::string& path, const std::string& text,
                   const char* site) {
-  const FaultDecision d = fault_point(site);
+  return write_atomic(path, text, fault_point(site));
+}
+
+bool write_atomic(const std::string& path, const std::string& text,
+                  const FaultDecision& d) {
   if (d.fail) {
     errno = EIO;
     return false;
@@ -218,10 +236,10 @@ bool write_atomic(const std::string& path, const std::string& text,
     return true;
   }
 
-  make_parent_dirs(path);
   const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(getpid()));
-  const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
+      path + ".tmp." + std::to_string(static_cast<long>(getpid())) + "." +
+      std::to_string(g_tmp_seq.fetch_add(1, std::memory_order_relaxed));
+  const int fd = open_for_write(tmp, O_WRONLY | O_CREAT | O_TRUNC);
   if (fd < 0) return false;
   bool ok = write_all(fd, text.data(), text.size());
   if (ok && fsync_enabled() && fsync(fd) != 0) ok = false;

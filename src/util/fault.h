@@ -53,9 +53,16 @@ namespace fs {
 
 /// Write `text` to `path` via tmp file + atomic rename, creating parent
 /// directories as needed. Verbatim: no newline is appended. Under
-/// MBS_FSYNC=1 the tmp file is fsync'd before the rename.
+/// MBS_FSYNC=1 the tmp file is fsync'd before the rename. Safe to call
+/// from many threads at once: each call writes its own tmp file.
 bool write_atomic(const std::string& path, const std::string& text,
                   const char* site);
+
+/// write_atomic with the fault decision already taken: a caller that
+/// consults its site serially and writes from several threads keeps the
+/// site's call numbering independent of thread timing.
+bool write_atomic(const std::string& path, const std::string& text,
+                  const FaultDecision& fault);
 
 /// Read all of `path` into *out. Returns false (without touching *out) on
 /// error or injected EIO.

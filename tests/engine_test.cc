@@ -23,8 +23,9 @@
 #include "train/data.h"
 #include "train/model.h"
 #include "train/trainer.h"
-#include "util/parallel.h"
+#include "util/fault.h"
 #include "util/fnv.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/serde.h"
 
@@ -831,6 +832,18 @@ std::vector<std::string> shard_entry_files(const std::string& path) {
   return files;
 }
 
+/// The entry files of one stage under the store at `path`, sorted; they
+/// sit one fan-out directory below `<path>.d/<stage>`.
+std::vector<std::string> stage_entry_files(const std::string& path,
+                                           const std::string& stage) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           path + ".d/" + stage))
+    if (entry.is_regular_file()) files.push_back(entry.path().string());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
 /// One shard entry file split into its header fields and record body.
 struct ShardEntry {
   std::string stamp, stage, key, body;
@@ -1189,10 +1202,9 @@ TEST(CacheStore, CorruptShardEntryMissesOnlyThatKey) {
   // per key: the mangled entry misses (and is recomputed), every other
   // entry still loads warm — no single bad byte cold-starts the store.
   {
-    const std::string victim = path + ".d/step/";
     std::size_t mangled = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(victim)) {
-      std::filesystem::resize_file(entry.path(), 24);
+    for (const std::string& victim : stage_entry_files(path, "step")) {
+      std::filesystem::resize_file(victim, 24);
       ++mangled;
       break;
     }
@@ -1225,9 +1237,8 @@ TEST(CacheStore, BadChecksumEntryIsQuarantinedAndMissesOnlyThatKey) {
   // parses, the tokens may even still parse — only the checksum can catch
   // this. The damaged entry must miss AND be quarantined, not deleted.
   std::string victim;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(path + ".d/step")) {
-    victim = entry.path().string();
+  for (const std::string& file : stage_entry_files(path, "step")) {
+    victim = file;
     break;
   }
   ASSERT_FALSE(victim.empty());
@@ -1271,16 +1282,14 @@ TEST(CacheStore, WrongStageHeaderIsQuarantined) {
   // stage token in the header disagrees with the directory — quarantine,
   // never deserialize a step body as traffic.
   std::string step_rec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(path + ".d/step")) {
-    step_rec = entry.path().string();
+  for (const std::string& file : stage_entry_files(path, "step")) {
+    step_rec = file;
     break;
   }
   ASSERT_FALSE(step_rec.empty());
   std::string traffic_rec;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(path + ".d/traffic")) {
-    traffic_rec = entry.path().string();
+  for (const std::string& file : stage_entry_files(path, "traffic")) {
+    traffic_rec = file;
     break;
   }
   ASSERT_FALSE(traffic_rec.empty());
@@ -1310,9 +1319,8 @@ TEST(CacheStore, ZeroLengthShardFileMissesCleanly) {
   // A crash between open and first write leaves a zero-length file (the
   // one layout the tmp+rename discipline cannot rule out under torn-write
   // injection). It must read as a clean miss and recompute warm.
-  for (const auto& entry :
-       std::filesystem::directory_iterator(path + ".d/step"))
-    std::filesystem::resize_file(entry.path(), 0);
+  for (const std::string& file : stage_entry_files(path, "step"))
+    std::filesystem::resize_file(file, 0);
 
   CacheStore store(path);
   Evaluator eval(&store);
@@ -1542,6 +1550,111 @@ TEST(CacheStore, TwoStoresOverOnePathShareEntriesThroughShardDir) {
   EXPECT_TRUE(step_equal(out_a, ref_a));
   EXPECT_TRUE(step_equal(out_b, ref_b));
   std::filesystem::remove_all(path + ".d");
+}
+
+/// Enough scenarios for a multi-lane save: three networks x the Tab. 3
+/// configs x four buffers, on WaveCore and the systolic backend.
+std::vector<Scenario> save_lane_grid() {
+  std::vector<Scenario> grid;
+  for (const char* net : {"alexnet", "resnet50", "vit_small"})
+    for (sched::ExecConfig cfg : sched::paper_tab3_configs())
+      for (std::int64_t mib : {4, 10, 16, 32})
+        for (Device d : {Device::kWaveCore, Device::kSystolic}) {
+          Scenario s;
+          s.network = net;
+          s.config = cfg;
+          s.params.buffer_bytes = mib * 1024 * 1024;
+          s.hw.global_buffer_bytes = s.params.buffer_bytes;
+          s.device = d;
+          grid.push_back(s);
+        }
+  return grid;
+}
+
+/// Evaluates save_lane_grid() into a fresh store under `dir`, saves it with
+/// the thread budget pinned to `threads` and `faults` armed, and returns
+/// every file of the store as relative path -> bytes.
+std::map<std::string, std::string> saved_store_tree(const std::string& dir,
+                                                    int threads,
+                                                    const std::string& faults,
+                                                    bool* saved) {
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/evaluator.mbscache";
+  {
+    CacheStore store(path);
+    Evaluator eval(&store);
+    for (const Scenario& s : save_lane_grid()) evaluate_scenario(s, eval);
+    // Four lanes at budget 4.
+    EXPECT_GE(store.entry_count(), 4u * 64u);
+    util::fault_clear();
+    if (!faults.empty()) {
+      EXPECT_TRUE(util::fault_arm(faults));
+    }
+    util::set_thread_budget(threads);
+    *saved = store.save();
+    util::set_thread_budget(-1);
+    util::fault_clear();
+  }
+  std::map<std::string, std::string> tree;
+  const std::string root = path + ".d";
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root))
+    if (entry.is_regular_file())
+      tree[entry.path().string().substr(root.size())] =
+          read_bytes(entry.path().string());
+  std::filesystem::remove_all(dir);
+  return tree;
+}
+
+TEST(CacheStore, SaveAtBudgetsOneAndFourWritesIdenticalTrees) {
+  const std::string dir = test_cache_dir("save_lanes");
+  bool ok1 = false, ok4 = false;
+  const auto serial = saved_store_tree(dir, 1, "", &ok1);
+  const auto lanes = saved_store_tree(dir, 4, "", &ok4);
+  EXPECT_TRUE(ok1);
+  EXPECT_TRUE(ok4);
+  EXPECT_GE(serial.size(), 4u * 64u);
+  EXPECT_TRUE(serial == lanes);
+  // Every entry sits in the fan-out directory named by its hash's first
+  // hex digit: /<stage>/<h[0]>/<h>.rec.
+  for (const auto& [rel, bytes] : serial) {
+    const std::size_t name = rel.rfind('/');
+    ASSERT_NE(name, std::string::npos);
+    ASSERT_GE(name, 2u);
+    EXPECT_EQ(rel[name - 2], '/') << rel;
+    EXPECT_EQ(rel[name - 1], rel[name + 1]) << rel;
+  }
+}
+
+TEST(CacheStore, WriteFaultHitsTheSameEntryAtEveryThreadBudget) {
+  const std::string dir = test_cache_dir("save_faults");
+  ::setenv("MBS_CACHE_SAVE_RETRIES", "0", 1);
+  bool ok = false;
+  const auto clean = saved_store_tree(dir, 1, "", &ok);
+  ASSERT_TRUE(ok);
+  for (const std::string spec :
+       {"cache.entry.write:fail@100", "cache.entry.write:torn@150/40"}) {
+    SCOPED_TRACE(spec);
+    bool ok1 = true, ok4 = true;
+    const auto serial = saved_store_tree(dir, 1, spec, &ok1);
+    const auto lanes = saved_store_tree(dir, 4, spec, &ok4);
+    EXPECT_TRUE(serial == lanes);
+    const bool torn = spec.find("torn") != std::string::npos;
+    // fail@N leaves the Nth entry unwritten; torn@N/B leaves its first B
+    // bytes and reports success.
+    EXPECT_EQ(ok1, torn);
+    EXPECT_EQ(ok4, torn);
+    std::vector<std::string> hit;
+    for (const auto& [rel, bytes] : clean) {
+      const auto it = serial.find(rel);
+      if (it == serial.end() || it->second != bytes) hit.push_back(rel);
+    }
+    ASSERT_EQ(hit.size(), 1u);
+    if (torn) {
+      EXPECT_EQ(serial.at(hit[0]).size(), 40u);
+    }
+    EXPECT_EQ(serial.size(), clean.size() - (torn ? 0 : 1));
+  }
+  ::unsetenv("MBS_CACHE_SAVE_RETRIES");
 }
 
 TEST(Sharding, MixedBackendGridMergesByteIdenticallyToUnsharded) {

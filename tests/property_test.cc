@@ -393,9 +393,10 @@ TEST(CycleBackendDeterminism, SweepInvariantUnderThreadsAndShards) {
 // ---- Attention traffic properties ----------------------------------------------
 
 /// Total DRAM bytes (read + write) of attention-layer records of one class.
-double attention_dram(const sched::Traffic& t, sched::TrafficClass cls) {
+double attention_dram(const std::vector<sched::TrafficRecord>& records,
+                      sched::TrafficClass cls) {
   double sum = 0;
-  for (const sched::TrafficRecord& r : t.records)
+  for (const sched::TrafficRecord& r : records)
     if (r.kind == core::LayerKind::kAttention && r.cls == cls)
       sum += r.dram_read + r.dram_write;
   return sum;
@@ -435,8 +436,8 @@ TEST(AttentionTraffic, ScoreStashConservedAcrossSubBatchSplits) {
         p.buffer_bytes = static_cast<std::int64_t>(mib * 1024 * 1024);
         const sched::Schedule s = sched::build_schedule(net, cfg, p);
         ASSERT_EQ(s.validate(net), "") << name;
-        const double stash =
-            attention_dram(compute_traffic(net, s), sched::TrafficClass::kStash);
+        const double stash = attention_dram(compute_traffic_records(net, s),
+                                            sched::TrafficClass::kStash);
         EXPECT_GE(stash, score_two_way)
             << name << " " << sched::to_string(cfg) << " " << mib << " MiB";
         if (reference < 0) reference = stash;
@@ -489,8 +490,8 @@ TEST(AttentionTraffic, BufferGateMonotoneWithExactEndpoints) {
     sp.buffer_bytes = static_cast<std::int64_t>(mib * 1024 * 1024);
     const sched::Schedule s =
         sched::build_schedule(net, sched::ExecConfig::kBaseline, sp);
-    const double feat =
-        attention_dram(compute_traffic(net, s), sched::TrafficClass::kFeature);
+    const double feat = attention_dram(compute_traffic_records(net, s),
+                                       sched::TrafficClass::kFeature);
     if (!first) {
       EXPECT_LE(feat, prev) << mib << " MiB";
     }
@@ -510,9 +511,9 @@ TEST(AttentionTraffic, BufferGateMonotoneWithExactEndpoints) {
   sp.buffer_bytes = 4 * 1024 * 1024;
   const sched::Schedule mbs =
       sched::build_schedule(net, sched::ExecConfig::kMbs2, sp);
-  EXPECT_DOUBLE_EQ(
-      attention_dram(compute_traffic(net, mbs), sched::TrafficClass::kFeature),
-      0.0);
+  EXPECT_DOUBLE_EQ(attention_dram(compute_traffic_records(net, mbs),
+                                  sched::TrafficClass::kFeature),
+                   0.0);
 }
 
 TEST(AttentionTraffic, SweepInvariantUnderThreadsAndShardsWithSeq) {

@@ -602,15 +602,16 @@ TEST(LayerBytes, FlatCellsEqualAPerLayerMapSum) {
     const Network net = models::make_network(name);
     for (ExecConfig cfg : paper_tab3_configs()) {
       SCOPED_TRACE(name + " " + to_string(cfg));
-      const Traffic t = compute_traffic(net, build_schedule(net, cfg));
+      const Schedule s = build_schedule(net, cfg);
       std::map<std::pair<int, int>, LayerBytes> by_layer;
-      for (const TrafficRecord& r : t.records) {
+      for (const TrafficRecord& r : compute_traffic_records(net, s)) {
         LayerBytes& lb = by_layer[{r.block, r.layer}];
         const int ph = r.phase == Phase::kForward ? 0 : 1;
         lb.dram[ph] += r.dram_read + r.dram_write;
         lb.buf[ph] += r.buf_read + r.buf_write;
       }
-      const std::vector<LayerBytes> flat = layer_bytes(net, t);
+      const Traffic t = compute_traffic(net, s);
+      const std::vector<LayerBytes>& flat = layer_bytes(net, t);
       ASSERT_EQ(flat.size(), static_cast<std::size_t>(net.layer_count()));
       std::size_t i = 0;
       for (std::size_t b = 0; b < net.blocks.size(); ++b)
@@ -627,19 +628,86 @@ TEST(LayerBytes, FlatCellsEqualAPerLayerMapSum) {
   }
 }
 
-TEST(LayerBytesDeathTest, RejectsRecordsOutsideTheNetwork) {
+TEST(LayerBytesDeathTest, RejectsTrafficOfAnotherNetwork) {
   const Network net = models::make_network("alexnet");
-  Traffic t = compute_traffic(net, build_schedule(net, ExecConfig::kMbs2));
-  Traffic past_block = t;
-  past_block.records.back().block = 0;
-  past_block.records.back().layer = net.blocks.front().layer_count();
-  EXPECT_DEATH(layer_bytes(net, past_block), "is not a layer of network");
-  Traffic past_net = t;
-  past_net.records.front().block = static_cast<int>(net.blocks.size());
-  EXPECT_DEATH(layer_bytes(net, past_net), "is not a layer of network");
-  Traffic negative = t;
-  negative.records.front().layer = -1;
-  EXPECT_DEATH(layer_bytes(net, negative), "is not a layer of network");
+  const Network other = models::make_network("resnet50");
+  const Traffic t =
+      compute_traffic(other, build_schedule(other, ExecConfig::kMbs2));
+  EXPECT_DEATH(layer_bytes(net, t), "traffic holds .* layers, network");
+  Traffic short_one =
+      compute_traffic(net, build_schedule(net, ExecConfig::kMbs2));
+  short_one.layers.pop_back();
+  EXPECT_DEATH(layer_bytes(net, short_one), "traffic holds .* layers");
+}
+
+/// Checks every accessor of compute_traffic's summary against a fold over
+/// compute_traffic_records with the pre-summary accessors' operations, in
+/// record order: the values must be equal bit for bit.
+void expect_summary_is_record_fold(const Network& net, const Schedule& s) {
+  const std::vector<TrafficRecord> records = compute_traffic_records(net, s);
+  double read = 0, write = 0, buffer = 0;
+  double by_class[kTrafficClassCount] = {};
+  std::vector<double> by_block(net.blocks.size(), 0.0);
+  std::vector<int> block_offset(net.blocks.size() + 1, 0);
+  for (std::size_t b = 0; b < net.blocks.size(); ++b)
+    block_offset[b + 1] = block_offset[b] + net.blocks[b].layer_count();
+  std::vector<LayerBytes> layers(static_cast<std::size_t>(block_offset.back()));
+  for (const TrafficRecord& r : records) {
+    read += r.dram_read;
+    write += r.dram_write;
+    buffer += r.buf_read + r.buf_write;
+    by_class[static_cast<int>(r.cls)] += r.dram_read + r.dram_write;
+    by_block[static_cast<std::size_t>(r.block)] += r.dram_read + r.dram_write;
+    LayerBytes& lb = layers[static_cast<std::size_t>(
+        block_offset[static_cast<std::size_t>(r.block)] + r.layer)];
+    const int ph = r.phase == Phase::kForward ? 0 : 1;
+    lb.dram[ph] += r.dram_read + r.dram_write;
+    lb.buf[ph] += r.buf_read + r.buf_write;
+  }
+
+  const Traffic t = compute_traffic(net, s);
+  EXPECT_EQ(t.record_count, static_cast<std::int64_t>(records.size()));
+  EXPECT_EQ(t.dram_read_bytes(), read);
+  EXPECT_EQ(t.dram_write_bytes(), write);
+  EXPECT_EQ(t.dram_bytes(), read + write);
+  EXPECT_EQ(t.buffer_bytes(), buffer);
+  for (int c = 0; c < kTrafficClassCount; ++c)
+    EXPECT_EQ(t.dram_bytes_by_class(static_cast<TrafficClass>(c)),
+              by_class[c])
+        << to_string(static_cast<TrafficClass>(c));
+  for (std::size_t b = 0; b < by_block.size(); ++b)
+    EXPECT_EQ(t.dram_bytes_for_block(static_cast<int>(b)), by_block[b]) << b;
+  EXPECT_EQ(t.dram_bytes_for_block(-1), 0.0);
+  EXPECT_EQ(t.dram_bytes_for_block(static_cast<int>(by_block.size())), 0.0);
+  const std::vector<LayerBytes>& flat = layer_bytes(net, t);
+  ASSERT_EQ(flat.size(), layers.size());
+  for (std::size_t i = 0; i < flat.size(); ++i)
+    for (int ph = 0; ph < 2; ++ph) {
+      EXPECT_EQ(flat[i].dram[ph], layers[i].dram[ph]) << i;
+      EXPECT_EQ(flat[i].buf[ph], layers[i].buf[ph]) << i;
+    }
+}
+
+TEST(TrafficSummary, EqualsRecordFoldBitForBit) {
+  for (const std::string& name : models::all_network_names()) {
+    const Network net = models::make_network(name);
+    for (ExecConfig cfg : paper_tab3_configs())
+      for (int mib : {4, 10, 32}) {
+        ScheduleParams greedy;
+        greedy.buffer_bytes = std::int64_t{mib} * 1024 * 1024;
+        ScheduleParams dp = greedy;
+        dp.optimal_grouping = true;
+        ScheduleParams noncontig = greedy;
+        noncontig.variant = GroupingVariant::kNonContiguous;
+        for (const auto& [grouping, p] :
+             {std::pair{"greedy", greedy}, std::pair{"dp", dp},
+              std::pair{"noncontig", noncontig}}) {
+          SCOPED_TRACE(name + " " + to_string(cfg) + " " +
+                       std::to_string(mib) + " MiB " + grouping);
+          expect_summary_is_record_fold(net, build_schedule(net, cfg, p));
+        }
+      }
+  }
 }
 
 TEST(TrafficDeathTest, RejectsBlocksWithoutAGroup) {

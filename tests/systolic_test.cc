@@ -467,7 +467,8 @@ TEST(SystolicStep, TinyScratchpadSerializesGemmTransfers) {
       simulate_systolic_step(net, schedule, traffic, p);
 
   double dram[2] = {0, 0};
-  for (const sched::TrafficRecord& rec : traffic.records)
+  for (const sched::TrafficRecord& rec :
+       sched::compute_traffic_records(net, schedule))
     dram[rec.phase == sched::Phase::kForward ? 0 : 1] +=
         rec.dram_read + rec.dram_write;
   const double bytes_per_cycle = p.dram_bw_bytes_per_s / p.array.clock_hz;
