@@ -138,8 +138,8 @@ void greedy_merge_noncontig(const DramObjective& dram_bytes, Schedule& s) {
 /// block footprints: dp[j] = min_i dp[i] + cost(i, j) where cost is the
 /// traffic of a schedule containing group [i, j) with every other block in
 /// singleton groups, minus the singleton baseline (a constant shift that
-/// preserves the argmin). That is O(blocks^2) evaluations of the O(layers)
-/// objective, which walks a dataflow graph built once per build_schedule.
+/// preserves the argmin). That is O(blocks^2) evaluations of the O(blocks)
+/// objective, whose tables are built once per build_schedule.
 void dp_optimal(const DramObjective& dram_bytes, int n, Schedule& s) {
   // Singleton baseline: every block its own group.
   Schedule singles = s;
@@ -230,7 +230,7 @@ Schedule build_schedule(const core::Network& net, ExecConfig config,
 
   s.groups = initial_groups(s, n);
   refresh_groups(s);
-  const DramObjective dram_bytes(net);
+  const DramObjective dram_bytes(net, s);
   if (params.variant == GroupingVariant::kNonContiguous)
     greedy_merge_noncontig(dram_bytes, s);
   else if (params.optimal_grouping)

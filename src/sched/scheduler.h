@@ -21,8 +21,9 @@ namespace mbs::sched {
 ///
 /// * `params.optimal_grouping` replaces greedy merging with a dynamic
 ///   program over contiguous partitions (the exhaustive-search reference of
-///   the paper's footnote 1): O(blocks^2) evaluations of the O(layers)
-///   DramObjective, whose dataflow graph is built once per call.
+///   the paper's footnote 1): O(blocks^2) evaluations of the O(blocks)
+///   DramObjective, whose tables are built once per call in O(layers x
+///   distinct sub-batches).
 /// * `params.variant == GroupingVariant::kNonContiguous` lets the greedy
 ///   merger combine *any* two groups, not just adjacent ones; the resulting
 ///   groups carry explicit member lists (`Group::members`). It takes

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -241,8 +242,9 @@ struct DramSink {
 
 /// The traffic walker: visits every tensor edge, then every layer, of a
 /// dataflow built once, and hands each contribution to `Sink::add` in a
-/// fixed order. compute_traffic, compute_traffic_records and DramObjective
-/// differ only in the sink.
+/// fixed order. compute_traffic, compute_traffic_records and
+/// dram_traffic_bytes differ only in the sink; DramObjective calls the
+/// emitters one tensor or layer at a time to fill its tables.
 template <class Sink>
 class TrafficBuilder {
  public:
@@ -257,6 +259,11 @@ class TrafficBuilder {
       emit_tensor(static_cast<int>(ti));
     for (std::size_t fi = 0; fi < df_.layers.size(); ++fi)
       emit_layer(static_cast<int>(fi));
+  }
+
+  /// Moves `block` into group `group` for the emissions that follow.
+  void set_group(int block, int group) {
+    group_of_[static_cast<std::size_t>(block)] = group;
   }
 
  private:
@@ -338,6 +345,7 @@ class TrafficBuilder {
     sink_.add(flat, phase, cls, dram_rd, dram_wr, buf_rd, buf_wr);
   }
 
+ public:
   /// Emits forward feature movement, stash writes, gradient movement and
   /// stash reads for one tensor.
   void emit_tensor(int ti) {
@@ -537,6 +545,7 @@ class TrafficBuilder {
         w * it, 0, 0);
   }
 
+ private:
   const Network& net_;
   const Schedule& sched_;
   const Dataflow& df_;
@@ -598,19 +607,209 @@ std::vector<TrafficRecord> compute_traffic_records(const core::Network& net,
   return std::move(sink.out);
 }
 
-DramObjective::DramObjective(const core::Network& net)
-    : net_(net), df_(std::make_unique<const Dataflow>(build_dataflow(net))) {}
+namespace {
 
-DramObjective::~DramObjective() = default;
+/// Adds the DRAM bytes of each record to `*cell`, aborting on any that are
+/// not a whole number below 2^53: DramObjective adds its entries in another
+/// order than the walk adds records, which is exact only for integers.
+struct TableSink {
+  const Network& net;
+  double* cell = nullptr;
+
+  void add(int, Phase, TrafficClass, double dram_rd, double dram_wr, double,
+           double) {
+    for (const double bytes : {dram_rd, dram_wr}) {
+      if (!(bytes >= 0 && bytes < 0x1p53 && std::trunc(bytes) == bytes)) {
+        std::fprintf(stderr,
+                     "DramObjective: network '%s' moves %a DRAM bytes in "
+                     "one record, not an integer below 2^53\n",
+                     net.name.c_str(), bytes);
+        std::abort();
+      }
+      *cell += bytes;
+    }
+  }
+};
+
+}  // namespace
+
+DramObjective::DramObjective(const core::Network& net, const Schedule& shape)
+    : net_(net), config_(shape.config), mini_batch_(shape.mini_batch),
+      buffer_bytes_(shape.buffer_bytes), block_max_sub_(shape.block_max_sub) {
+  const int n = static_cast<int>(net.blocks.size());
+  if (block_max_sub_.size() != static_cast<std::size_t>(n) ||
+      std::any_of(block_max_sub_.begin(), block_max_sub_.end(),
+                  [&](int sub) { return sub < 1 || sub > mini_batch_; })) {
+    std::fprintf(stderr,
+                 "DramObjective: network '%s' has %d blocks, the shape "
+                 "schedule %zu sub-batch limits in [1, %d]\n",
+                 net.name.c_str(), n, block_max_sub_.size(), mini_batch_);
+    std::abort();
+  }
+  const Dataflow df = build_dataflow(net);
+
+  // A serialized group runs at its tightest member's limit, and an
+  // unserialized one at the whole mini-batch.
+  sub_slot_.assign(static_cast<std::size_t>(mini_batch_) + 1, -1);
+  sub_slot_[static_cast<std::size_t>(mini_batch_)] = 0;
+  for (int sub : block_max_sub_) sub_slot_[static_cast<std::size_t>(sub)] = 0;
+  for (int sub = 1; sub <= mini_batch_; ++sub) {
+    int& slot = sub_slot_[static_cast<std::size_t>(sub)];
+    if (slot < 0) continue;
+    slot = static_cast<int>(slot_iterations_.size());
+    slot_iterations_.push_back(iterations_for(mini_batch_, sub));
+  }
+  const std::size_t slots = slot_iterations_.size();
+
+  // The probe schedule puts every block in its own group, so every boundary
+  // is split; an entry merges at most two boundaries around one tensor.
+  Schedule probe;
+  probe.config = config_;
+  probe.mini_batch = mini_batch_;
+  probe.buffer_bytes = buffer_bytes_;
+  for (int b = 0; b < n; ++b) probe.groups.push_back(Group{b, b, 1, 1, {}});
+  TableSink sink{net};
+  TrafficBuilder<TableSink> walk(net, df, probe, sink);
+
+  boundary_.assign(2 * static_cast<std::size_t>(n), 0);
+  boundary_pair_.assign(4 * static_cast<std::size_t>(n), 0);
+  for (int ti = 0; ti < static_cast<int>(df.tensors.size()); ++ti) {
+    const TensorInfo& t = df.tensors[static_cast<std::size_t>(ti)];
+    // The network input reads no group: its edges always move through DRAM
+    // and it has no gradient. Every other tensor reads the groups of its
+    // producer's block, its consumers' blocks and the blocks that consume
+    // its consumers' outputs (for routed gradients).
+    const int lo = t.producer_block;
+    int hi = lo;
+    if (t.producer >= 0) {
+      for (int c : t.consumers) {
+        const FlatLayer& fc = df.layers[static_cast<std::size_t>(c)];
+        if (fc.block - lo > 1) {
+          std::fprintf(stderr,
+                       "DramObjective: network '%s' has an edge from block "
+                       "%d to block %d; grouping tables need every edge to "
+                       "stay in a block or reach the next one\n",
+                       net.name.c_str(), lo, fc.block);
+          std::abort();
+        }
+        hi = std::max(hi, fc.block);
+        for (int mc : df.tensors[static_cast<std::size_t>(fc.out_tensor)]
+                          .consumers)
+          hi = std::max(hi, df.layers[static_cast<std::size_t>(mc)].block);
+      }
+    }
+    if (hi == lo) {
+      sink.cell = &constant_;
+      walk.emit_tensor(ti);
+    } else if (hi == lo + 1) {
+      for (int split = 0; split < 2; ++split) {
+        walk.set_group(hi, split ? hi : lo);
+        sink.cell = &boundary_[static_cast<std::size_t>(2 * hi + split)];
+        walk.emit_tensor(ti);
+      }
+      walk.set_group(hi, hi);
+    } else {
+      const int b = lo + 1;
+      for (int first = 0; first < 2; ++first)
+        for (int second = 0; second < 2; ++second) {
+          const int mid = first ? b : lo;
+          walk.set_group(b, mid);
+          walk.set_group(b + 1, second ? b + 1 : mid);
+          sink.cell = &boundary_pair_[static_cast<std::size_t>(
+              4 * b + 2 * first + second)];
+          walk.emit_tensor(ti);
+        }
+      walk.set_group(b, b);
+      walk.set_group(b + 1, b + 1);
+    }
+  }
+
+  layer_.assign(static_cast<std::size_t>(n) * slots, 0);
+  for (int sub = 1; sub <= mini_batch_; ++sub) {
+    const int slot = sub_slot_[static_cast<std::size_t>(sub)];
+    if (slot < 0) continue;
+    for (Group& g : probe.groups) {
+      g.sub_batch = sub;
+      g.iterations = slot_iterations_[static_cast<std::size_t>(slot)];
+    }
+    for (std::size_t fi = 0; fi < df.layers.size(); ++fi) {
+      sink.cell = &layer_[static_cast<std::size_t>(df.layers[fi].block) *
+                              slots +
+                          static_cast<std::size_t>(slot)];
+      walk.emit_layer(static_cast<int>(fi));
+    }
+  }
+
+  // Every addend is a non-negative integer, so the largest alternative of
+  // every term bounds each partial sum of any schedule's total.
+  double worst = constant_;
+  auto add_largest = [&](const std::vector<double>& table, std::size_t width) {
+    for (std::size_t i = 0; i < table.size(); i += width)
+      worst += *std::max_element(table.begin() + static_cast<std::ptrdiff_t>(i),
+                                 table.begin() +
+                                     static_cast<std::ptrdiff_t>(i + width));
+  };
+  add_largest(boundary_, 2);
+  add_largest(boundary_pair_, 4);
+  add_largest(layer_, slots);
+  if (!(worst < 0x1p53)) {
+    std::fprintf(stderr,
+                 "DramObjective: network '%s' can move %.17g DRAM bytes per "
+                 "step, at or above 2^53, where the sum is no longer exact\n",
+                 net.name.c_str(), worst);
+    std::abort();
+  }
+}
 
 double DramObjective::operator()(const Schedule& schedule) const {
-  DramSink sink;
-  TrafficBuilder<DramSink>(net_, *df_, schedule, sink).run();
-  return sink.read + sink.write;
+  if (schedule.config != config_ || schedule.mini_batch != mini_batch_ ||
+      schedule.buffer_bytes != buffer_bytes_ ||
+      schedule.block_max_sub != block_max_sub_) {
+    std::fprintf(stderr,
+                 "DramObjective: built for network '%s' under %s at "
+                 "mini-batch %d and a %lld-byte buffer, asked to score a "
+                 "schedule of another shape (%s, mini-batch %d, %lld bytes)\n",
+                 net_.name.c_str(), to_string(config_), mini_batch_,
+                 static_cast<long long>(buffer_bytes_),
+                 to_string(schedule.config), schedule.mini_batch,
+                 static_cast<long long>(schedule.buffer_bytes));
+    std::abort();
+  }
+  const std::vector<int> group_of = group_table(net_, schedule);
+  const std::size_t n = group_of.size();
+  const std::size_t slots = slot_iterations_.size();
+  double total = constant_;
+  for (std::size_t b = 1; b < n; ++b) {
+    const std::size_t split = group_of[b - 1] != group_of[b];
+    total += boundary_[2 * b + split];
+    if (b + 1 < n)
+      total += boundary_pair_[4 * b + 2 * split +
+                              (group_of[b] != group_of[b + 1])];
+  }
+  for (std::size_t b = 0; b < n; ++b) {
+    const Group& g = schedule.groups[static_cast<std::size_t>(group_of[b])];
+    const int slot = g.sub_batch >= 1 && g.sub_batch <= mini_batch_
+                         ? sub_slot_[static_cast<std::size_t>(g.sub_batch)]
+                         : -1;
+    if (slot < 0 ||
+        slot_iterations_[static_cast<std::size_t>(slot)] != g.iterations) {
+      std::fprintf(stderr,
+                   "DramObjective: block %zu of network '%s' runs at "
+                   "sub-batch %d x %d iterations, which no group of this "
+                   "shape can form\n",
+                   b, net_.name.c_str(), g.sub_batch, g.iterations);
+      std::abort();
+    }
+    total += layer_[b * slots + static_cast<std::size_t>(slot)];
+  }
+  return total;
 }
 
 double dram_traffic_bytes(const core::Network& net, const Schedule& schedule) {
-  return DramObjective(net)(schedule);
+  const Dataflow df = build_dataflow(net);
+  DramSink sink;
+  TrafficBuilder<DramSink>(net, df, schedule, sink).run();
+  return sink.read + sink.write;
 }
 
 }  // namespace mbs::sched

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/network.h"
@@ -103,27 +102,68 @@ Traffic compute_traffic(const core::Network& net, const Schedule& schedule);
 std::vector<TrafficRecord> compute_traffic_records(const core::Network& net,
                                                    const Schedule& schedule);
 
-struct Dataflow;
-
 /// Total DRAM bytes per step of a schedule over one network: the objective
-/// that greedy, DP and non-contiguous grouping minimize. The dataflow graph
-/// is built once, at construction; each call runs the compute_traffic walker
-/// with a sink that keeps only the DRAM read and write totals, and returns
-/// exactly compute_traffic(net, schedule).dram_bytes(), bit for bit. `net`
-/// must outlive the objective.
+/// that greedy, DP and non-contiguous grouping minimize. Each call returns
+/// exactly compute_traffic(net, schedule).dram_bytes(), bit for bit, in
+/// O(blocks).
+///
+/// An objective serves one schedule shape: `net` and the `shape` schedule's
+/// config, mini-batch, buffer and per-block sub-batch limits. Construction
+/// runs the compute_traffic walker's tensor and layer emitters on synthetic
+/// group tables to fill, once:
+///  - a constant term;
+///  - per group boundary, its cost when split and when merged;
+///  - per pair of adjacent boundaries, a 2x2 cost table;
+///  - per block, its layers' weight, weight-gradient and attention terms
+///    for every (iterations, sub_batch) a group can run at: each distinct
+///    block limit, and the whole mini-batch.
+/// A call sums the entries the schedule's group table selects.
+///
+/// Locality: the dataflow's only cross-block edges run from block b-1's
+/// output into block b. A tensor's traffic therefore depends only on
+/// whether the boundary into its consumers' block is split and, for an
+/// Add/Concat consumer, whether the boundary after that merge is (the
+/// routed gradient lives where the merge output lives). A block's layer
+/// terms depend only on its group's (iterations, sub_batch).
+///
+/// Exactness: every DRAM addend of the walk is an integer-valued double
+/// (bytes per sample x mini-batch, mask and argmax bytes, weight bytes x
+/// iterations, multiples of the attention score bytes). Construction aborts
+/// unless every addend is an integer and the worst-case total stays below
+/// 2^53; every partial sum is then exact, so the total does not depend on
+/// summation order.
+///
+/// Scoring a schedule of another shape aborts, and so does a group whose
+/// (iterations, sub_batch) the scheduler cannot form. Nothing changes after
+/// construction, so one objective can be shared across threads. `net` must
+/// outlive the objective.
 class DramObjective {
  public:
-  explicit DramObjective(const core::Network& net);
-  ~DramObjective();
+  DramObjective(const core::Network& net, const Schedule& shape);
 
   double operator()(const Schedule& schedule) const;
 
  private:
   const core::Network& net_;
-  std::unique_ptr<const Dataflow> df_;
+  ExecConfig config_;
+  int mini_batch_;
+  std::int64_t buffer_bytes_;
+  std::vector<int> block_max_sub_;
+  double constant_ = 0;
+  /// [2 * b + split]: boundary b lies between blocks b - 1 and b.
+  std::vector<double> boundary_;
+  /// [4 * b + 2 * split(b) + split(b + 1)].
+  std::vector<double> boundary_pair_;
+  /// Sub-batch -> column of layer_ (-1 when no group can run at it).
+  std::vector<int> sub_slot_;
+  /// Column -> the iteration count of its sub-batch.
+  std::vector<int> slot_iterations_;
+  /// [block * slot_iterations_.size() + slot].
+  std::vector<double> layer_;
 };
 
-/// Convenience: total DRAM bytes per step, DramObjective(net)(schedule).
+/// Total DRAM bytes per step, compute_traffic(net, schedule).dram_bytes():
+/// one walk that keeps only the DRAM totals.
 double dram_traffic_bytes(const core::Network& net, const Schedule& schedule);
 
 }  // namespace mbs::sched

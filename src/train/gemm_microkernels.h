@@ -69,9 +69,9 @@ const MicroKernels& portable_microkernels();
 /// cached. Thread-safe.
 const MicroKernels& active_microkernels();
 
-/// Drops the cached resolution so the next call re-reads MBS_KERNEL /
-/// MBS_FORCE_NO_AVX2 — for tests and benchmarks that A/B the two paths
-/// inside one process. Not safe concurrently with running GEMMs.
+/// Drops the cached resolution so the next call re-reads MBS_KERNEL — for
+/// tests and benchmarks that A/B the two paths inside one process. Not
+/// safe concurrently with running GEMMs.
 void reset_microkernel_dispatch();
 
 /// Measured peak GFLOP/s of one core's FMA (or mul+add, when the AVX2

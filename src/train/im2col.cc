@@ -259,7 +259,8 @@ util::KernelIsa resolved_isa() {
   int v = g_active_isa.load(std::memory_order_acquire);
   if (v < 0) {
     v = static_cast<int>(
-        util::resolve_kernel_isa(avx2_microkernels() != nullptr));
+        util::resolve_kernel_isa(avx2_microkernels() != nullptr,
+                                 util::cpu_supports_avx2()));
     g_active_isa.store(v, std::memory_order_release);
   }
   return static_cast<util::KernelIsa>(v);

@@ -45,15 +45,12 @@ const char* to_string(KernelIsa isa) {
 }
 
 bool cpu_supports_avx2() {
-  static const bool hw = detect_avx2();  // CPUID once; the env hook each call
-  if (const char* env = std::getenv("MBS_FORCE_NO_AVX2");
-      env && *env && std::strcmp(env, "0") != 0)
-    return false;
+  static const bool hw = detect_avx2();  // CPUID once
   return hw;
 }
 
-KernelIsa resolve_kernel_isa(bool have_avx2_kernels) {
-  const bool avx2_ok = have_avx2_kernels && cpu_supports_avx2();
+KernelIsa resolve_kernel_isa(bool have_avx2_kernels, bool cpu_has_avx2) {
+  const bool avx2_ok = have_avx2_kernels && cpu_has_avx2;
   const char* env = std::getenv("MBS_KERNEL");
   if (!env || !*env) return avx2_ok ? KernelIsa::kAvx2 : KernelIsa::kPortable;
   if (std::strcmp(env, "portable") == 0) return KernelIsa::kPortable;

@@ -11,9 +11,8 @@
 //   unset                     picks avx2 when CPUID says the host has
 //                             AVX2+FMA with OS-enabled YMM state.
 //
-// MBS_FORCE_NO_AVX2=1 makes cpu_supports_avx2() report false regardless of
-// CPUID — the test hook that lets the fallback path be exercised on hosts
-// that do have AVX2.
+// resolve_kernel_isa takes the CPU capability as an argument, so tests
+// exercise the fallback path on hosts that do have AVX2 by passing false.
 #pragma once
 
 namespace mbs::util {
@@ -28,17 +27,16 @@ const char* to_string(KernelIsa isa);
 
 /// True when the host CPU supports AVX2 + FMA and the OS has enabled YMM
 /// state (CPUID + XGETBV, checked once and cached). Always false on
-/// non-x86 builds, and forced false by MBS_FORCE_NO_AVX2=1 (re-read on
-/// every call so tests can toggle it around a dispatch reset).
+/// non-x86 builds.
 bool cpu_supports_avx2();
 
 /// Resolves which ISA the GEMM dispatch should use, combining the
-/// MBS_KERNEL override, cpu_supports_avx2(), and whether the binary
-/// actually carries AVX2 kernels (`have_avx2_kernels`, false when the
-/// compiler or target couldn't build them). An explicit MBS_KERNEL=avx2 on
-/// an unsupported host falls back cleanly to kPortable; an unrecognized
-/// MBS_KERNEL value aborts loudly (a typo'd A/B run must not silently
-/// measure the wrong path).
-KernelIsa resolve_kernel_isa(bool have_avx2_kernels);
+/// MBS_KERNEL override, whether the binary actually carries AVX2 kernels
+/// (`have_avx2_kernels`, false when the compiler or target couldn't build
+/// them) and whether the CPU runs them (`cpu_has_avx2`, normally
+/// cpu_supports_avx2()). An explicit MBS_KERNEL=avx2 on an unsupported host
+/// falls back cleanly to kPortable; an unrecognized MBS_KERNEL value aborts
+/// loudly (a typo'd A/B run must not silently measure the wrong path).
+KernelIsa resolve_kernel_isa(bool have_avx2_kernels, bool cpu_has_avx2);
 
 }  // namespace mbs::util

@@ -689,12 +689,11 @@ TEST(ZeroAllocContract, SteadyStateTrainStepIsAllocationFree) {
 
 // ---- Kernel-ISA dispatch: portable and AVX2 families are bit-identical ------
 
-/// Pins MBS_KERNEL / MBS_FORCE_NO_AVX2 for one test and restores the
-/// default dispatch (env unset) on the way out.
+/// Pins MBS_KERNEL for one test and restores the default dispatch (env
+/// unset) on the way out.
 struct IsaGuard {
   ~IsaGuard() {
     unsetenv("MBS_KERNEL");
-    unsetenv("MBS_FORCE_NO_AVX2");
     detail::reset_microkernel_dispatch();
   }
   void force(const char* isa) {
@@ -776,10 +775,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(KernelDispatch, Avx2RequestWithoutCpuSupportFallsBackCleanly) {
   IsaGuard guard;
-  setenv("MBS_FORCE_NO_AVX2", "1", 1);
   guard.force("avx2");
-  EXPECT_EQ(active_gemm_isa(), util::KernelIsa::kPortable);
+  // A CPU without AVX2, or a build without the AVX2 kernels, resolves to
+  // the portable family whether or not avx2 is requested.
+  EXPECT_EQ(util::resolve_kernel_isa(true, false), util::KernelIsa::kPortable);
+  EXPECT_EQ(util::resolve_kernel_isa(false, true), util::KernelIsa::kPortable);
+  unsetenv("MBS_KERNEL");
+  EXPECT_EQ(util::resolve_kernel_isa(true, false), util::KernelIsa::kPortable);
   // ...and GEMMs keep working on the fallback path.
+  guard.force("portable");
+  EXPECT_EQ(active_gemm_isa(), util::KernelIsa::kPortable);
   util::Rng rng(103);
   const Tensor a = Tensor::randn({9, 130}, rng);
   const Tensor b = Tensor::randn({130, 11}, rng);

@@ -14,6 +14,7 @@
 #include "sched/config.h"
 #include "sched/scheduler.h"
 #include "sched/traffic.h"
+#include "util/parallel.h"
 
 namespace mbs::sched {
 namespace {
@@ -256,13 +257,12 @@ TEST(Grouping, DpOptimalNeverWorseThanGreedy) {
 
 // ---- The grouping objective ------------------------------------------------
 
-/// `s` with its groups replaced by the contiguous ranges `groups`, each
-/// group's sub-batch the tightest member block's limit, as the scheduler
-/// sizes groups.
+/// `s` with its groups replaced by `groups`, each group's sub-batch the
+/// tightest member block's limit, as the scheduler sizes groups.
 Schedule regrouped(Schedule s, std::vector<Group> groups) {
   for (Group& g : groups) {
     g.sub_batch = s.mini_batch;
-    for (int b = g.first; b <= g.last; ++b)
+    for (int b : g.blocks())
       g.sub_batch =
           std::min(g.sub_batch, s.block_max_sub[static_cast<std::size_t>(b)]);
     g.iterations = iterations_for(s.mini_batch, g.sub_batch);
@@ -271,40 +271,71 @@ Schedule regrouped(Schedule s, std::vector<Group> groups) {
   return s;
 }
 
+/// The non-contiguous search's starting point: maximal runs of blocks with
+/// equal minimum iteration count, each carrying its member list.
+std::vector<Group> initial_member_groups(const Schedule& s) {
+  const int n = static_cast<int>(s.block_max_sub.size());
+  auto iters = [&](int b) {
+    return iterations_for(s.mini_batch,
+                          s.block_max_sub[static_cast<std::size_t>(b)]);
+  };
+  std::vector<Group> groups;
+  for (int b = 0; b < n; ++b) {
+    if (b == 0 || iters(b) != iters(b - 1))
+      groups.push_back(Group{b, b, 1, 1, {}});
+    groups.back().last = b;
+    groups.back().members.push_back(b);
+  }
+  return groups;
+}
+
+/// `groups` with groups a and b merged into one member list, ordered by
+/// first block as the non-contiguous search keeps them.
+std::vector<Group> merged_pair(std::vector<Group> groups, std::size_t a,
+                               std::size_t b) {
+  Group& ga = groups[a];
+  ga.members.insert(ga.members.end(), groups[b].members.begin(),
+                    groups[b].members.end());
+  std::sort(ga.members.begin(), ga.members.end());
+  ga.first = ga.members.front();
+  ga.last = ga.members.back();
+  groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(b));
+  std::sort(groups.begin(), groups.end(),
+            [](const Group& x, const Group& y) { return x.first < y.first; });
+  return groups;
+}
+
 TEST(DramObjective, EqualsComputeTrafficBitForBit) {
-  // The record-free objective must return exactly the DRAM total of the
-  // materialized records, for every schedule the grouping searches score.
+  // The tabulated objective must return exactly the DRAM total of the
+  // summary walk, for every schedule the grouping searches score. The
+  // candidates of one shape are scored on the kernel pool, which also
+  // shares one objective across threads.
   for (const std::string& name : models::all_network_names()) {
     const Network net = models::make_network(name);
-    const DramObjective objective(net);
     const int n = static_cast<int>(net.blocks.size());
-    const bool all_dp_candidates =
-        name == "alexnet" || name == "resnet50" || name == "vit_small" ||
-        name == "transformer_base";
-    for (ExecConfig cfg : {ExecConfig::kMbs1, ExecConfig::kMbs2})
+    for (ExecConfig cfg : kAllConfigs)
       for (int mib : kObjectiveBufferMiB) {
         SCOPED_TRACE(name + " " + to_string(cfg) + " " +
                      std::to_string(mib) + " MiB");
-        auto expect_exact = [&](const Schedule& s) {
-          EXPECT_EQ(objective(s), compute_traffic(net, s).dram_bytes());
-        };
         ScheduleParams p;
         p.buffer_bytes = std::int64_t{mib} * 1024 * 1024;
         const Schedule greedy = build_schedule(net, cfg, p);
-        expect_exact(greedy);
+        std::vector<Schedule> candidates = {greedy};
         ScheduleParams dp = p;
         dp.optimal_grouping = true;
-        expect_exact(build_schedule(net, cfg, dp));
+        candidates.push_back(build_schedule(net, cfg, dp));
         ScheduleParams noncontig = p;
         noncontig.variant = GroupingVariant::kNonContiguous;
         const Schedule relaxed = build_schedule(net, cfg, noncontig);
-        for (const Group& g : relaxed.groups) ASSERT_FALSE(g.members.empty());
-        expect_exact(relaxed);
+        if (cfg == ExecConfig::kMbs1 || cfg == ExecConfig::kMbs2) {
+          for (const Group& g : relaxed.groups)
+            ASSERT_FALSE(g.members.empty());
+        }
+        candidates.push_back(relaxed);
 
         std::vector<Group> singles;
         for (int b = 0; b < n; ++b) singles.push_back(Group{b, b, 1, 1, {}});
-        expect_exact(regrouped(greedy, singles));
-        if (!all_dp_candidates) continue;
+        candidates.push_back(regrouped(greedy, singles));
         // Every DP candidate: blocks [i, j] merged, the rest singletons.
         for (int i = 0; i < n; ++i)
           for (int j = i + 1; j < n; ++j) {
@@ -313,10 +344,69 @@ TEST(DramObjective, EqualsComputeTrafficBitForBit) {
             groups.push_back(Group{i, j, 1, 1, {}});
             for (int b = j + 1; b < n; ++b)
               groups.push_back(Group{b, b, 1, 1, {}});
-            expect_exact(regrouped(greedy, std::move(groups)));
+            candidates.push_back(regrouped(greedy, std::move(groups)));
           }
+        // Every pair merge of the non-contiguous search's first round.
+        const std::vector<Group> initial = initial_member_groups(greedy);
+        candidates.push_back(regrouped(greedy, initial));
+        for (std::size_t a = 0; a < initial.size(); ++a)
+          for (std::size_t b = a + 1; b < initial.size(); ++b)
+            candidates.push_back(regrouped(greedy, merged_pair(initial, a, b)));
+
+        const DramObjective objective(net, greedy);
+        std::vector<double> got(candidates.size()), want(candidates.size());
+        util::parallel_for(
+            static_cast<std::int64_t>(candidates.size()), 1,
+            [&](std::int64_t begin, std::int64_t end) {
+              for (std::int64_t i = begin; i < end; ++i) {
+                const Schedule& s = candidates[static_cast<std::size_t>(i)];
+                got[static_cast<std::size_t>(i)] = objective(s);
+                want[static_cast<std::size_t>(i)] =
+                    compute_traffic(net, s).dram_bytes();
+              }
+            });
+        for (std::size_t i = 0; i < candidates.size(); ++i)
+          EXPECT_EQ(got[i], want[i]) << "candidate " << i;
       }
   }
+}
+
+TEST(DramObjectiveDeathTest, RejectsScheduleOfAnotherShape) {
+  const Network net = models::make_network("resnet50");
+  const Schedule mbs2 = build_schedule(net, ExecConfig::kMbs2);
+  const DramObjective objective(net, mbs2);
+  EXPECT_DEATH((void)objective(build_schedule(net, ExecConfig::kMbs1)),
+               "schedule of another shape");
+  ScheduleParams small;
+  small.buffer_bytes = 4ll * 1024 * 1024;
+  EXPECT_DEATH(
+      (void)objective(build_schedule(net, ExecConfig::kMbs2, small)),
+      "schedule of another shape");
+  // A group sized unlike any the scheduler forms has no table column.
+  Schedule odd = mbs2;
+  odd.groups.front().iterations += 1;
+  EXPECT_DEATH((void)objective(odd), "no group of this shape can form");
+}
+
+TEST(DramObjectiveDeathTest, RejectsTotalsBeyondExactDoubles) {
+  // A ReLU over a 2^46-element input: each record of a 32-sample step
+  // moves 2^52 bytes, an exact double, but the records sum past 2^53,
+  // where doubles skip integers and the tables' summation order could
+  // change the total.
+  core::Network net;
+  net.name = "huge";
+  net.mini_batch_per_core = 32;
+  net.input = core::FeatureShape{1 << 16, 1 << 16, 1 << 14};
+  net.blocks.push_back(
+      core::make_simple_block("b0", {core::make_act("act", net.input)}));
+  const Schedule shape = build_schedule(net, ExecConfig::kBaseline);
+  EXPECT_DEATH(DramObjective(net, shape), "at or above 2\\^53");
+  // Four times the input makes one record 2^54 bytes, already inexact.
+  net.input.c <<= 2;
+  net.blocks.front() =
+      core::make_simple_block("b0", {core::make_act("act", net.input)});
+  EXPECT_DEATH(DramObjective(net, build_schedule(net, ExecConfig::kBaseline)),
+               "not an integer below 2\\^53");
 }
 
 TEST(Grouping, MbsFsIsSingleGroup) {
@@ -717,7 +807,7 @@ TEST(TrafficDeathTest, RejectsBlocksWithoutAGroup) {
   Schedule s = build_schedule(net, ExecConfig::kMbs2);
   s.groups.back().last -= 1;
   EXPECT_DEATH(compute_traffic(net, s), "belongs to no group of the schedule");
-  EXPECT_DEATH((void)DramObjective(net)(s),
+  EXPECT_DEATH((void)DramObjective(net, s)(s),
                "belongs to no group of the schedule");
   Schedule empty = build_schedule(net, ExecConfig::kBaseline);
   empty.groups.clear();
