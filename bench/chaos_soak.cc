@@ -11,13 +11,13 @@
 //      ServeCore answers.
 //   2. Chaos drain: repeatedly fork a worker against one shared spool +
 //      cache store, each round arming a seeded random MBS_FAULTS schedule
-//      (crash mid-claim, EIO on entry/done writes, torn entry writes) —
-//      and, between rounds, corrupting a random shard record on disk
+//      (crash mid-claim, EIO on pack/done writes, torn pack writes) —
+//      and, between rounds, corrupting a random store pack on disk
 //      (truncation or a flipped byte).
 //   3. Clean finish: drain the remainder fault-free and materialize the
 //      sweep warm from the (battered) store. The rendered CSV/JSON must
 //      equal the reference bytes exactly.
-//   4. Serve under corruption: flip a byte in every step record, then
+//   4. Serve under corruption: damage every step pack, then
 //      query every scenario through ServeCore. Every answer must match
 //      the reference; the corruption must surface as `degraded` (graceful
 //      re-evaluation), never as a wrong answer or a daemon error.
@@ -64,9 +64,9 @@ std::string pick_faults(util::Rng& rng) {
     case 0:
       return "spool.unit.start:crash@" + num(1 + (long)rng.uniform_int(3));
     case 1:
-      return "cache.entry.write:fail@" + num(1 + (long)rng.uniform_int(4));
+      return "cache.pack.write:fail@" + num(1 + (long)rng.uniform_int(4));
     case 2:
-      return "cache.entry.write:torn@" + num(1 + (long)rng.uniform_int(4)) +
+      return "cache.pack.write:torn@" + num(1 + (long)rng.uniform_int(4)) +
              "/" + num(8 + (long)rng.uniform_int(160));
     case 3:
       return "spool.done.write:fail@1,spool.unit.start:crash@" +
@@ -76,20 +76,20 @@ std::string pick_faults(util::Rng& rng) {
   }
 }
 
-/// All .rec files under `dir` (skipping quarantine/), sorted for a
+/// All .pack files under `dir` (skipping quarantine/), sorted for a
 /// deterministic pick order.
-std::vector<std::string> list_records(const std::string& dir) {
-  std::vector<std::string> recs;
+std::vector<std::string> list_packs(const std::string& dir) {
+  std::vector<std::string> packs;
   std::error_code ec;
   for (fsys::recursive_directory_iterator it(dir, ec), end; it != end;
        it.increment(ec)) {
     const std::string p = it->path().string();
-    if (p.size() > 4 && p.compare(p.size() - 4, 4, ".rec") == 0 &&
+    if (p.size() > 5 && p.compare(p.size() - 5, 5, ".pack") == 0 &&
         p.find("/quarantine/") == std::string::npos)
-      recs.push_back(p);
+      packs.push_back(p);
   }
-  std::sort(recs.begin(), recs.end());
-  return recs;
+  std::sort(packs.begin(), packs.end());
+  return packs;
 }
 
 bool read_bytes(const std::string& path, std::string* out) {
@@ -211,7 +211,7 @@ int main() {
   }
 
   // ---- Phase 2: chaos drain. Each round forks a worker with a seeded
-  // fault schedule; between rounds the parent corrupts a shard record.
+  // fault schedule; between rounds the parent corrupts a store pack.
   util::Rng rng(static_cast<std::uint64_t>(seed));
   long crashed = 0, clean = 0, damaged = 0;
   engine::SweepOptions spool_opts = opts;
@@ -239,9 +239,9 @@ int main() {
       ++clean;
     else
       ++crashed;
-    const std::vector<std::string> recs = list_records(shard_dir);
-    if (!recs.empty()) {
-      damage_file(rng, recs[rng.uniform_int(recs.size())]);
+    const std::vector<std::string> packs = list_packs(shard_dir);
+    if (!packs.empty()) {
+      damage_file(rng, packs[rng.uniform_int(packs.size())]);
       ++damaged;
     }
   }
@@ -271,12 +271,12 @@ int main() {
   // must still match the storeless reference; the damage must surface as
   // graceful degradation, never as a wrong answer.
   long serve_mismatches = 0;
-  std::size_t step_recs_damaged = 0;
+  std::size_t step_packs_damaged = 0;
   engine::ServeStats serve_stats;
   {
-    for (const std::string& rec : list_records(shard_dir + "/step")) {
-      damage_file(rng, rec);
-      ++step_recs_damaged;
+    for (const std::string& pack : list_packs(shard_dir + "/step")) {
+      damage_file(rng, pack);
+      ++step_packs_damaged;
     }
     engine::CacheStore store(cache_path);
     engine::ServeCore core(&store, /*hot_capacity=*/8);
@@ -291,14 +291,14 @@ int main() {
     serve_stats = core.stats();
   }
   const bool serve_ok = serve_mismatches == 0 && serve_stats.errors == 0;
-  const bool degraded_ok = step_recs_damaged == 0 || serve_stats.degraded > 0;
+  const bool degraded_ok = step_packs_damaged == 0 || serve_stats.degraded > 0;
 
   std::printf("\n--- chaos soak summary ---\n");
   std::printf("seed=%ld rounds=%ld grid=%zu scenarios\n", seed, rounds,
               specs.size());
-  std::printf("workers: crashed=%ld clean=%ld; records damaged=%ld "
-              "(+%zu step records pre-serve)\n",
-              crashed, clean, damaged, step_recs_damaged);
+  std::printf("workers: crashed=%ld clean=%ld; packs damaged=%ld "
+              "(+%zu step packs pre-serve)\n",
+              crashed, clean, damaged, step_packs_damaged);
   std::printf("byte identity: csv %s (%zu bytes), json %s (%zu bytes)\n",
               csv_ok ? "OK" : "MISMATCH", ref_csv.size(),
               json_ok ? "OK" : "MISMATCH", ref_json.size());

@@ -1,13 +1,19 @@
 #include "engine/cache_store.h"
 
+#include <dirent.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -323,122 +329,317 @@ std::unique_ptr<CacheStore> CacheStore::from_env() {
 
 namespace {
 
-// Outcome of validating one shard entry file against the stage and key the
-// caller asked for. The distinction matters because it decides the file's
-// fate: a kMiss leaves the file alone (it is someone else's valid data — an
-// fnv1a64 collision, or a writer under another schema stamp), while
-// kCorrupt quarantines it (it can never validate for anyone).
-enum class EntryStatus {
-  kValid,  // record body is in `*body`, checksum verified
-  kMiss,
-  kCorrupt,
-};
+/// Stage indices, in pack-write order, and their directory names.
+enum StageId : int { kNet, kSched, kTraffic, kStep, kGpu, kSys };
+constexpr const char* kStageNames[CacheStore::kStages] = {
+    "net", "sched", "traffic", "step", "gpu", "sys"};
+constexpr const char* kPackMagic = "mbs-pack";
 
-EntryStatus check_entry(Reader& r, const char* stage, const std::string& key,
-                        std::string* body) {
-  if (r.read_string() != "mbs-entry" || r.fail()) return EntryStatus::kCorrupt;
-  if (r.read_int() != CacheStore::kFormatVersion || r.fail())
-    return EntryStatus::kCorrupt;
-  const std::string stamp = r.read_string();
-  if (r.fail()) return EntryStatus::kCorrupt;
-  if (stamp != CacheStore::kSchemaStamp) return EntryStatus::kMiss;
-  if (r.read_string() != stage || r.fail()) return EntryStatus::kCorrupt;
-  const std::string file_key = r.read_string();
-  if (r.fail()) return EntryStatus::kCorrupt;
-  if (file_key != key) return EntryStatus::kMiss;
-  const std::uint64_t want = static_cast<std::uint64_t>(r.read_int());
-  *body = r.read_string();
-  if (r.fail() || !r.at_end()) return EntryStatus::kCorrupt;
-  if (util::fnv1a64(*body) != want) return EntryStatus::kCorrupt;
-  return EntryStatus::kValid;
+std::string pack_name(std::uint64_t h) {
+  std::string name(16, '0');
+  for (int i = 0; i < 16; ++i)
+    name[15 - i] = "0123456789abcdef"[(h >> (4 * i)) & 0xf];
+  return name + ".pack";
 }
 
-char hex_digit(std::uint64_t v) {
-  return "0123456789abcdef"[v & 0xf];
+/// The content hash a `<16 hex digits>.pack` file name carries; false for
+/// any other name (temp files, stray files).
+bool parse_pack_name(const char* name, std::uint64_t* h) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 16; ++i) {
+    const char c = name[i];
+    if (c >= '0' && c <= '9')
+      v = v << 4 | static_cast<std::uint64_t>(c - '0');
+    else if (c >= 'a' && c <= 'f')
+      v = v << 4 | static_cast<std::uint64_t>(c - 'a' + 10);
+    else
+      return false;
+  }
+  if (std::strcmp(name + 16, ".pack") != 0) return false;
+  *h = v;
+  return true;
+}
+
+std::string pack_header(int stage, std::size_t records) {
+  Writer w;
+  w.put_string(kPackMagic);
+  w.put_int(CacheStore::kFormatVersion);
+  w.put_string(CacheStore::kSchemaStamp);
+  w.put_string(kStageNames[stage]);
+  w.put_int(static_cast<std::int64_t>(records));
+  return w.str() + "\n";
+}
+
+/// A forward-only tokenizer over a pack file, reading it through a small
+/// buffer so the index pass never holds a pack whole. It accepts the token
+/// grammar util::serde writes: whitespace-separated decimal integers and
+/// `<length>:<bytes>` strings.
+class PackScanner {
+ public:
+  PackScanner(int fd, std::uint64_t size) : fd_(fd), size_(size) {}
+
+  std::uint64_t pos() const { return pos_; }
+  /// A read(2) failed: the pack's bytes are unknown, not known bad.
+  bool io_error() const { return io_error_; }
+
+  bool read_int(std::int64_t* v) {
+    skip_ws();
+    char tok[24];
+    std::size_t n = 0;
+    for (int c = peek(); c >= 0 && !is_ws(c); c = peek()) {
+      if (n + 1 == sizeof tok) return false;
+      tok[n++] = static_cast<char>(c);
+      ++pos_;
+    }
+    tok[n] = '\0';
+    char* end = nullptr;
+    *v = std::strtoll(tok, &end, 10);
+    return n > 0 && end == tok + n;
+  }
+
+  /// Reads a `<length>:` prefix; the length must fit in the rest of the
+  /// file.
+  bool read_length(std::uint64_t* len) {
+    skip_ws();
+    std::uint64_t v = 0;
+    bool any = false;
+    for (int c = peek(); c >= '0' && c <= '9'; c = peek()) {
+      v = v * 10 + static_cast<std::uint64_t>(c - '0');
+      if (v > size_) return false;
+      any = true;
+      ++pos_;
+    }
+    if (!any || peek() != ':') return false;
+    ++pos_;
+    *len = v;
+    return v <= size_ - pos_;
+  }
+
+  bool read_string(std::string* out) {
+    std::uint64_t len = 0;
+    if (!read_length(&len)) return false;
+    out->clear();
+    for (std::uint64_t i = 0; i < len; ++i) {
+      const int c = peek();
+      if (c < 0) return false;
+      out->push_back(static_cast<char>(c));
+      ++pos_;
+    }
+    return true;
+  }
+
+  /// Skips `n` bytes; read_length already bounded them by the file size.
+  void skip(std::uint64_t n) { pos_ += n; }
+
+  /// Separators only from here to the end of the file.
+  bool at_end() {
+    skip_ws();
+    return peek() < 0 && !io_error_;
+  }
+
+ private:
+  static bool is_ws(int c) { return c == ' ' || c == '\n'; }
+
+  void skip_ws() {
+    while (is_ws(peek())) ++pos_;
+  }
+
+  /// The byte at pos_, or -1 at the end of the file or on a read error.
+  int peek() {
+    if (pos_ >= size_) return -1;
+    if (pos_ < buf_at_ || pos_ >= buf_at_ + buf_len_) {
+      const ssize_t r = ::pread(fd_, buf_.data(), buf_.size(),
+                                static_cast<off_t>(pos_));
+      if (r <= 0) {
+        io_error_ = r < 0;
+        return -1;
+      }
+      buf_at_ = pos_;
+      buf_len_ = static_cast<std::size_t>(r);
+    }
+    return static_cast<unsigned char>(buf_[pos_ - buf_at_]);
+  }
+
+  int fd_;
+  std::uint64_t size_;
+  std::uint64_t pos_ = 0;
+  std::uint64_t buf_at_ = 0;
+  std::size_t buf_len_ = 0;
+  bool io_error_ = false;
+  std::vector<char> buf_ = std::vector<char>(1 << 16);
+};
+
+enum class PackStatus {
+  kValid,    // every record indexed
+  kMiss,     // another schema stamp, or unreadable now: left in place
+  kCorrupt,  // can never validate for anyone: quarantine
+};
+
+struct ScannedRecord {
+  std::string key;
+  std::uint64_t offset, length, sum;  ///< where the body sits; its checksum
+};
+
+/// Validates the pack at `file` for `stage` and lists its records without
+/// reading their bodies.
+PackStatus scan_pack(const std::string& file, int stage,
+                     std::vector<ScannedRecord>* out) {
+  const int fd = ::open(file.c_str(), O_RDONLY);
+  if (fd < 0) return PackStatus::kMiss;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return PackStatus::kMiss;
+  }
+  PackScanner in(fd, static_cast<std::uint64_t>(st.st_size));
+  const PackStatus status = [&] {
+    std::string text;
+    std::int64_t version = 0, count = 0;
+    if (!in.read_string(&text) || text != kPackMagic)
+      return PackStatus::kCorrupt;
+    if (!in.read_int(&version) || version != CacheStore::kFormatVersion)
+      return PackStatus::kCorrupt;
+    if (!in.read_string(&text)) return PackStatus::kCorrupt;
+    if (text != CacheStore::kSchemaStamp) return PackStatus::kMiss;
+    if (!in.read_string(&text) || text != kStageNames[stage])
+      return PackStatus::kCorrupt;
+    if (!in.read_int(&count) || count < 0) return PackStatus::kCorrupt;
+    // The count sizes no allocation: a record past the end of the file
+    // fails to read.
+    for (std::int64_t i = 0; i < count; ++i) {
+      std::string key;
+      std::int64_t sum = 0;
+      std::uint64_t length = 0;
+      if (!in.read_string(&key) || !in.read_int(&sum) ||
+          !in.read_length(&length))
+        return PackStatus::kCorrupt;
+      out->push_back({std::move(key), in.pos(), length,
+                      static_cast<std::uint64_t>(sum)});
+      in.skip(length);
+    }
+    return in.at_end() ? PackStatus::kValid : PackStatus::kCorrupt;
+  }();
+  ::close(fd);
+  return in.io_error() ? PackStatus::kMiss : status;
 }
 
 }  // namespace
 
-std::string CacheStore::entry_file(const char* stage,
-                                   const std::string& key) const {
-  const std::uint64_t h = util::fnv1a64(key);
-  std::string name(16, '0');
-  for (int i = 0; i < 16; ++i) name[15 - i] = hex_digit(h >> (4 * i));
-  return shard_dir() + "/" + stage + "/" + name[0] + "/" + name + ".rec";
+std::string CacheStore::pack_file(int stage, std::uint64_t pack) const {
+  return shard_dir() + "/" + kStageNames[stage] + "/" + pack_name(pack);
 }
 
-void CacheStore::quarantine_entry(const char* stage, const std::string& key) {
-  const std::string src = entry_file(stage, key);
+void CacheStore::quarantine_pack(int stage, std::uint64_t pack) {
+  const std::string file = pack_file(stage, pack);
   const std::string qdir = shard_dir() + "/quarantine";
   std::error_code ec;
   std::filesystem::create_directories(qdir, ec);
-  const std::string name = src.substr(src.rfind('/') + 1);
-  const std::string dst = qdir + "/" + stage + "." + name;
-  if (!util::fs::rename_file(src, dst, "cache.quarantine.rename")) {
+  const std::string dst =
+      qdir + "/" + kStageNames[stage] + "." + pack_name(pack);
+  if (!util::fs::rename_file(file, dst, "cache.quarantine.rename")) {
     // Quarantine must never re-serve the bad bytes; if the move itself
     // fails, removal is the fallback.
-    std::remove(src.c_str());
+    std::remove(file.c_str());
   }
+  std::erase_if(disk_[stage].records,
+                [pack](const auto& r) { return r.second.pack == pack; });
   ++corrupt_entries_;
-  std::fprintf(stderr, "CacheStore: quarantined corrupt entry %s (stage %s)\n",
-               src.c_str(), stage);
+  std::fprintf(stderr, "CacheStore: quarantined corrupt pack %s (stage %s)\n",
+               file.c_str(), kStageNames[stage]);
+}
+
+void CacheStore::rescan(int stage) {
+  StageDisk& disk = disk_[stage];
+  std::vector<std::uint64_t> fresh;
+  if (DIR* d = ::opendir((shard_dir() + "/" + kStageNames[stage]).c_str())) {
+    while (const dirent* e = ::readdir(d)) {
+      std::uint64_t h = 0;
+      if (parse_pack_name(e->d_name, &h) && !disk.seen.count(h))
+        fresh.push_back(h);
+    }
+    ::closedir(d);
+  }
+  // Sorted, so the first pack to index a key is the same for every handle.
+  std::sort(fresh.begin(), fresh.end());
+  for (const std::uint64_t h : fresh) {
+    // A pack is opened once per handle, whatever its fate: one under
+    // another stamp stays in place, unread.
+    disk.seen.insert(h);
+    std::vector<ScannedRecord> records;
+    const PackStatus st = scan_pack(pack_file(stage, h), stage, &records);
+    if (st == PackStatus::kCorrupt) quarantine_pack(stage, h);
+    if (st != PackStatus::kValid) continue;
+    for (ScannedRecord& r : records)
+      disk.records.emplace(std::move(r.key),
+                           RecordLoc{h, r.offset, r.length, r.sum});
+  }
+}
+
+bool CacheStore::read_record(int stage, const std::string& key,
+                             std::string* body, std::uint64_t* pack) {
+  StageDisk& disk = disk_[stage];
+  auto it = disk.records.find(key);
+  if (it == disk.records.end()) {
+    rescan(stage);
+    it = disk.records.find(key);
+    if (it == disk.records.end()) return false;
+  }
+  const RecordLoc loc = it->second;
+  *pack = loc.pack;
+  if (!util::fs::read_range(pack_file(stage, loc.pack), loc.offset,
+                            loc.length, body, "cache.entry.read"))
+    return false;
+  if (util::fnv1a64(*body) != loc.sum) {
+    quarantine_pack(stage, *pack);
+    return false;
+  }
+  return true;
 }
 
 // One lookup/insert pair per stage; all share the lock. A memory miss
-// falls through to the per-entry shard file: on a valid read the value is
-// cached in memory (and counted as loaded), so each key touches disk at
-// most once per process. A file that fails validation (torn write, bad
-// checksum, wrong stage, parse failure) is quarantined and the lookup is a
-// miss; a key mismatch or another schema stamp is a plain miss that leaves
-// the file alone.
-#define MBS_CACHE_STORE_STAGE(Fn, PutFn, Map, Type, Stage, ReadFn)      \
-  bool CacheStore::Fn(const std::string& key, Type* out) {              \
-    std::lock_guard<std::mutex> lock(mu_);                              \
-    const auto it = Map.find(key);                                      \
-    if (it != Map.end()) {                                              \
-      *out = it->second;                                                \
-      return true;                                                      \
-    }                                                                   \
-    std::string text;                                                   \
-    if (!util::fs::read_file(entry_file(Stage, key), &text,             \
-                             "cache.entry.read"))                       \
-      return false;                                                     \
-    Reader r(text);                                                     \
-    std::string body;                                                   \
-    const EntryStatus st = check_entry(r, Stage, key, &body);           \
-    if (st == EntryStatus::kMiss) return false;                         \
-    if (st == EntryStatus::kCorrupt) {                                  \
-      quarantine_entry(Stage, key);                                     \
-      return false;                                                     \
-    }                                                                   \
-    Reader br(body);                                                    \
-    Type v = ReadFn(br);                                                \
-    if (br.fail() || !br.at_end()) {                                    \
-      quarantine_entry(Stage, key);                                     \
-      return false;                                                     \
-    }                                                                   \
-    *out = v;                                                           \
-    Map.emplace(key, std::move(v));                                     \
-    ++loaded_;                                                          \
-    return true;                                                        \
-  }                                                                     \
-  void CacheStore::PutFn(const std::string& key, const Type& v) {       \
-    std::lock_guard<std::mutex> lock(mu_);                              \
-    if (Map.emplace(key, v).second) dirty_.emplace(Stage, key);         \
+// falls through to the stage's packs: on a valid read the value is cached
+// in memory (and counted as loaded), so each key touches disk at most once
+// per process. A record that fails its checksum or parse quarantines its
+// whole pack and the lookup is a miss.
+#define MBS_CACHE_STORE_STAGE(Fn, PutFn, Map, Type, Stage, ReadFn) \
+  bool CacheStore::Fn(const std::string& key, Type* out) {         \
+    std::lock_guard<std::mutex> lock(mu_);                         \
+    const auto it = Map.find(key);                                 \
+    if (it != Map.end()) {                                         \
+      *out = it->second;                                           \
+      return true;                                                 \
+    }                                                              \
+    std::string body;                                              \
+    std::uint64_t pack = 0;                                        \
+    if (!read_record(Stage, key, &body, &pack)) return false;      \
+    Reader br(body);                                               \
+    Type v = ReadFn(br);                                           \
+    if (br.fail() || !br.at_end()) {                               \
+      quarantine_pack(Stage, pack);                                \
+      return false;                                                \
+    }                                                              \
+    *out = v;                                                      \
+    Map.emplace(key, std::move(v));                                \
+    ++loaded_;                                                     \
+    return true;                                                   \
+  }                                                                \
+  void CacheStore::PutFn(const std::string& key, const Type& v) {  \
+    std::lock_guard<std::mutex> lock(mu_);                         \
+    if (Map.emplace(key, v).second) dirty_.emplace(Stage, key);    \
   }
 
 MBS_CACHE_STORE_STAGE(load_network, put_network, networks_, core::Network,
-                      "net", read_network)
+                      kNet, read_network)
 MBS_CACHE_STORE_STAGE(load_schedule, put_schedule, schedules_,
-                      sched::Schedule, "sched", read_schedule)
+                      sched::Schedule, kSched, read_schedule)
 MBS_CACHE_STORE_STAGE(load_traffic, put_traffic, traffics_, sched::Traffic,
-                      "traffic", read_traffic)
-MBS_CACHE_STORE_STAGE(load_step, put_step, steps_, sim::StepResult, "step",
+                      kTraffic, read_traffic)
+MBS_CACHE_STORE_STAGE(load_step, put_step, steps_, sim::StepResult, kStep,
                       read_step)
 MBS_CACHE_STORE_STAGE(load_gpu_step, put_gpu_step, gpu_steps_,
-                      arch::GpuStepResult, "gpu", read_gpu_step)
+                      arch::GpuStepResult, kGpu, read_gpu_step)
 MBS_CACHE_STORE_STAGE(load_systolic_step, put_systolic_step, systolic_steps_,
-                      arch::SystolicStepResult, "sys", read_systolic_step)
+                      arch::SystolicStepResult, kSys, read_systolic_step)
 
 #undef MBS_CACHE_STORE_STAGE
 
@@ -453,6 +654,23 @@ using Value = std::variant<const core::Network*, const sched::Schedule*,
 /// Entries per save lane: a save below two grains (a serve write-through,
 /// a spool unit) runs inline and starts no threads.
 constexpr std::size_t kSaveGrain = 64;
+/// A serialized chunk closes at kSaveGrain entries or at about this many
+/// bytes: a deep network's traffic record runs to 25 KB, so a full grain of
+/// them would be 1.6 MB, and two chunks per lane are in flight.
+constexpr std::size_t kChunkBytes = 32 << 10;
+
+/// Rough serialized size of a stored value, about 20 bytes a token, for
+/// cutting chunks of similar size.
+std::size_t approx_bytes(const core::Network& n) {
+  return 80 * static_cast<std::size_t>(n.layer_count());
+}
+std::size_t approx_bytes(const sched::Traffic& t) {
+  return 20 * (4 * t.layers.size() + t.block_dram.size());
+}
+template <typename T>
+std::size_t approx_bytes(const T&) {
+  return 700;
+}
 
 }  // namespace
 
@@ -464,10 +682,6 @@ bool CacheStore::save() {
   struct Pending {
     DirtySet::const_iterator id;
     Value value;
-    util::FaultDecision fault;
-    long consults = 0;  ///< fault-site consults taken for this entry
-    int fanout = 0;     ///< first hex digit of the entry's file name
-    bool ok = false;
   };
   std::vector<Pending> pending;
   {
@@ -478,117 +692,223 @@ bool CacheStore::save() {
     pending.reserve(dirty_.size());
     for (auto it = dirty_.begin(); it != dirty_.end(); ++it) {
       const auto& [stage, key] = *it;
-      Pending p;
-      p.id = it;
-      if (stage == "net")
-        p.value = &networks_.at(key);
-      else if (stage == "sched")
-        p.value = &schedules_.at(key);
-      else if (stage == "traffic")
-        p.value = &traffics_.at(key);
-      else if (stage == "step")
-        p.value = &steps_.at(key);
-      else if (stage == "gpu")
-        p.value = &gpu_steps_.at(key);
-      else
-        p.value = &systolic_steps_.at(key);
+      Pending p{it, {}};
+      switch (stage) {
+        case kNet: p.value = &networks_.at(key); break;
+        case kSched: p.value = &schedules_.at(key); break;
+        case kTraffic: p.value = &traffics_.at(key); break;
+        case kStep: p.value = &steps_.at(key); break;
+        case kGpu: p.value = &gpu_steps_.at(key); break;
+        default: p.value = &systolic_steps_.at(key); break;
+      }
       pending.push_back(p);
     }
   }
 
-  const long retries = util::env_int("MBS_CACHE_SAVE_RETRIES", 3, 0, 100);
-  const long backoff_ms = util::env_int("MBS_CACHE_RETRY_MS", 10, 0, 60000);
-  // Fault decisions are taken serially in dirty_ order, one consult per
-  // attempt, so `cache.entry.write:fail@N` names the same entry at every
-  // thread budget. An injected failure is retried at once; the backoff is
-  // for real write errors, which the lanes retry without consulting.
-  for (Pending& p : pending) {
-    do {
-      p.fault = util::fault_point("cache.entry.write");
-    } while (p.fault.fail && ++p.consults <= retries);
-    if (!p.fault.fail) ++p.consults;
-    p.fanout = static_cast<int>(util::fnv1a64(p.id->second) >> 60);
+  // One pack per stage: a run of pending entries, in key order.
+  struct Pack {
+    int stage = 0;
+    std::size_t begin = 0, end = 0;
+    util::FaultDecision fault;
+    long consults = 0;  ///< fault-site consults taken for this pack
+    std::uint64_t hash = 0;
+    bool ok = false;
+  };
+  std::vector<Pack> packs;
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const int stage = pending[i].id->first;
+    if (packs.empty() || packs.back().stage != stage)
+      packs.push_back({stage, i, i, {}, 0, 0, false});
+    packs.back().end = i + 1;
   }
 
-  auto write_entry = [&](Pending& p) {
-    if (p.fault.fail) return;
-    const auto& [stage, key] = *p.id;
-    Writer body;
-    std::visit([&](const auto* v) { write_body(body, *v); }, p.value);
-    // The record tokens are wrapped as one length-prefixed string with an
-    // fnv1a64 checksum in front: a torn write breaks the length or the
-    // checksum, never silently yields a shorter-but-parseable body.
-    Writer w;
-    w.put_string("mbs-entry");
-    w.put_int(kFormatVersion);
-    w.put_string(kSchemaStamp);
-    w.put_string(stage);
-    w.put_string(key);
-    w.put_int(static_cast<std::int64_t>(util::fnv1a64(body.str())));
-    w.put_string(body.str());
-    const std::string text = w.str() + "\n";
-    const std::string file = entry_file(stage.c_str(), key);
-    p.ok = util::fs::write_atomic(file, text, p.fault);
-    for (long attempt = p.consults; attempt <= retries && !p.ok; ++attempt) {
-      if (backoff_ms > 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoff_ms * attempt));
-      p.ok = util::fs::write_atomic(file, text, util::FaultDecision{});
+  const long retries = util::env_int("MBS_CACHE_SAVE_RETRIES", 3, 0, 100);
+  const long backoff_ms = util::env_int("MBS_CACHE_RETRY_MS", 10, 0, 60000);
+  // Fault decisions are taken serially in stage order, one consult per
+  // attempt, before any pack is written. An injected failure is retried at
+  // once; the backoff is for real write errors, retried without consulting.
+  struct Chunk {
+    std::size_t pack, begin, end;
+  };
+  std::vector<Chunk> chunks;
+  for (std::size_t k = 0; k < packs.size(); ++k) {
+    Pack& p = packs[k];
+    do {
+      p.fault = util::fault_point("cache.pack.write");
+    } while (p.fault.fail && ++p.consults <= retries);
+    if (p.fault.fail) continue;
+    ++p.consults;
+    std::size_t begin = p.begin, bytes = 0;
+    for (std::size_t i = p.begin; i < p.end; ++i) {
+      bytes += std::visit([](const auto* v) { return approx_bytes(*v); },
+                          pending[i].value);
+      if (i + 1 - begin == kSaveGrain || bytes >= kChunkBytes ||
+          i + 1 == p.end) {
+        chunks.push_back({k, begin, i + 1});
+        begin = i + 1;
+        bytes = 0;
+      }
+    }
+  }
+
+  // Serializes chunk `c` into *out, reusing its capacity.
+  auto serialize = [&](const Chunk& c, std::string* out) {
+    out->clear();
+    for (std::size_t i = c.begin; i < c.end; ++i) {
+      Writer body;
+      std::visit([&](const auto* v) { write_body(body, *v); },
+                 pending[i].value);
+      // The record body is one length-prefixed string behind an fnv1a64
+      // checksum: a torn write breaks the length or the checksum, never
+      // silently yields a shorter-but-parseable body.
+      Writer w;
+      w.put_string(pending[i].id->second);
+      w.put_int(static_cast<std::int64_t>(util::fnv1a64(body.str())));
+      w.put_string(body.str());
+      *out += w.str();
+      *out += '\n';
     }
   };
 
-  // Lane k writes the entries whose fan-out digit is k modulo the lane
-  // count: no two lanes create files in one directory, and since the digit
-  // is a hash digit each lane gets its share of every stage. Lanes run on
-  // short-lived threads rather than the kernel pool: a save comes once per
-  // sweep, and pool workers would keep their malloc arenas pinned between
-  // saves.
+  // Appends chunk bytes in order, opening a stage's temp file at its first
+  // chunk and renaming it to its content hash after its last.
+  std::optional<util::fs::StagedFile> file;
+  auto append = [&](const Chunk& c, const std::string& bytes) {
+    Pack& p = packs[c.pack];
+    if (c.begin == p.begin) {
+      const std::string header = pack_header(p.stage, p.end - p.begin);
+      file.emplace(shard_dir() + "/" + kStageNames[p.stage] + "/pack");
+      file->append(header);
+      p.hash = util::fnv1a64(header);
+    }
+    file->append(bytes);
+    p.hash = util::fnv1a64(bytes, p.hash);
+    if (c.end == p.end) {
+      p.ok = file->commit(pack_file(p.stage, p.hash), p.fault);
+      file.reset();
+    }
+  };
+
+  // Lanes run on short-lived threads rather than the kernel pool: a save
+  // comes once per sweep, and pool workers would keep their malloc arenas
+  // pinned between saves.
   const std::size_t lanes =
       util::in_parallel_region()
           ? 1
           : std::min<std::size_t>(
                 static_cast<std::size_t>(util::thread_budget()),
                 pending.size() / kSaveGrain);
+  // Chunk c is serialized into slot c % window, and a lane claims a chunk
+  // only once the chunk `window` before it has been appended, so at most
+  // `window` chunks are in flight; their buffers are reused from chunk to
+  // chunk. Each slot has its own cache line: lanes grow neighbouring
+  // strings at once.
+  struct alignas(64) Slot {
+    std::string bytes;
+    bool ready = false;
+  };
+  const std::size_t window = 2 * lanes;
+  std::vector<Slot> slots(window);
+  std::size_t claimed = 0, appended = 0;
   std::exception_ptr error;
-  std::mutex error_mu;
-  auto run_lane = [&](std::size_t lane) {
-    try {
-      for (Pending& p : pending)
-        if (static_cast<std::size_t>(p.fanout) % lanes == lane) write_entry(p);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!error) error = std::current_exception();
+  std::mutex m;
+  std::condition_variable slot_free, slot_ready;
+  auto lane = [&] {
+    std::unique_lock<std::mutex> lock(m);
+    for (;;) {
+      slot_free.wait(lock, [&] {
+        return error || claimed == chunks.size() ||
+               claimed < appended + window;
+      });
+      if (error || claimed == chunks.size()) return;
+      const std::size_t c = claimed++;
+      lock.unlock();
+      std::exception_ptr failed;
+      try {
+        serialize(chunks[c], &slots[c % window].bytes);
+      } catch (...) {
+        failed = std::current_exception();
+      }
+      lock.lock();
+      if (failed && !error) error = failed;
+      slots[c % window].ready = true;
+      slot_ready.notify_all();
     }
   };
-  if (lanes <= 1) {
-    for (Pending& p : pending) write_entry(p);
+  std::vector<std::thread> threads;
+  for (std::size_t l = 0; lanes > 1 && l < lanes; ++l) {
+    try {
+      threads.emplace_back(lane);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the lanes started so far serialize
+    }
+  }
+  if (threads.empty()) {
+    std::string bytes;
+    for (const Chunk& c : chunks) {
+      serialize(c, &bytes);
+      append(c, bytes);
+    }
   } else {
-    std::vector<std::thread> threads;
-    threads.reserve(lanes - 1);
-    for (std::size_t lane = 1; lane < lanes; ++lane) {
-      try {
-        threads.emplace_back(run_lane, lane);
-      } catch (const std::system_error&) {
-        run_lane(lane);  // no thread to spare: write this lane here
+    try {
+      for (std::size_t c = 0; c < chunks.size(); ++c) {
+        {
+          std::unique_lock<std::mutex> lock(m);
+          slot_ready.wait(lock,
+                          [&] { return error || slots[c % window].ready; });
+          if (error) break;
+        }
+        append(chunks[c], slots[c % window].bytes);
+        std::lock_guard<std::mutex> lock(m);
+        slots[c % window].ready = false;
+        ++appended;
+        slot_free.notify_all();
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(m);
+      if (!error) error = std::current_exception();
+    }
+    {
+      std::lock_guard<std::mutex> lock(m);
+      slot_free.notify_all();
+    }
+    for (std::thread& t : threads) t.join();
+    // Every entry stays dirty; the next save() writes them again.
+    if (error) std::rethrow_exception(error);
+  }
+
+  // A real write error: stream the pack again, inline, after a backoff.
+  for (std::size_t k = 0; k < packs.size(); ++k) {
+    Pack& p = packs[k];
+    if (p.fault.fail) continue;
+    for (long attempt = p.consults; !p.ok && attempt <= retries; ++attempt) {
+      if (backoff_ms > 0)
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(backoff_ms * attempt));
+      p.fault = util::FaultDecision{};
+      std::string bytes;
+      for (const Chunk& c : chunks) {
+        if (c.pack != k) continue;
+        serialize(c, &bytes);
+        append(c, bytes);
       }
     }
-    run_lane(0);
-    for (std::thread& t : threads) t.join();
   }
-  // Every entry stays dirty; the next save() writes them again.
-  if (error) std::rethrow_exception(error);
 
   bool all_ok = true;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Pending& p : pending) {
+  for (const Pack& p : packs) {
     if (p.ok) {
-      dirty_.erase(p.id);
+      disk_[p.stage].seen.insert(p.hash);
+      for (std::size_t i = p.begin; i < p.end; ++i) dirty_.erase(pending[i].id);
       continue;
     }
     all_ok = false;
     ++save_failures_;
-    std::fprintf(stderr, "CacheStore: giving up on %s/%s after %ld attempts\n",
-                 p.id->first.c_str(), p.id->second.c_str(), retries + 1);
+    std::fprintf(stderr,
+                 "CacheStore: giving up on the %s pack (%zu entries) after "
+                 "%ld attempts\n",
+                 kStageNames[p.stage], p.end - p.begin, retries + 1);
   }
   return all_ok;
 }

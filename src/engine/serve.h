@@ -7,8 +7,8 @@
 //
 //   1. in-memory LRU hot set (util::LruMap, bounded capacity) — O(1),
 //      no disk, no compute;
-//   2. the shared CacheStore (per-entry files, concurrent-reader safe) —
-//      one file read per stage, then hot;
+//   2. the shared CacheStore (immutable packs, concurrent-reader safe) —
+//      one record read per stage, then hot;
 //   3. a fresh Evaluator computing the missing stages (and writing them
 //      through to the store for every future query);
 //

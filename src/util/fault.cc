@@ -143,16 +143,6 @@ int open_for_write(const std::string& path, int flags) {
   return fd;
 }
 
-// Write `text` straight to `path` (no tmp file) — used to materialize a
-// torn write at the final path, exactly as a crash mid-write would leave it.
-bool write_direct(const std::string& path, const char* data, size_t len) {
-  const int fd = open_for_write(path, O_WRONLY | O_CREAT | O_TRUNC);
-  if (fd < 0) return false;
-  const bool ok = write_all(fd, data, len);
-  close(fd);
-  return ok;
-}
-
 // Distinguishes the tmp files of concurrent writes within one process.
 std::atomic<long> g_tmp_seq{0};
 
@@ -217,35 +207,52 @@ namespace fs {
 
 bool write_atomic(const std::string& path, const std::string& text,
                   const char* site) {
-  return write_atomic(path, text, fault_point(site));
-}
-
-bool write_atomic(const std::string& path, const std::string& text,
-                  const FaultDecision& d) {
+  const FaultDecision d = fault_point(site);
   if (d.fail) {
     errno = EIO;
     return false;
   }
-  if (d.torn) {
-    // Leave a truncated file at the final path and report success: this is
-    // what an acknowledged-but-torn write looks like to the next reader.
-    const size_t n = static_cast<size_t>(d.torn_bytes) < text.size()
-                         ? static_cast<size_t>(d.torn_bytes)
-                         : text.size();
-    write_direct(path, text.data(), n);
-    return true;
-  }
+  StagedFile file(path);
+  return file.append(text) && file.commit(path, d);
+}
 
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(getpid())) + "." +
-      std::to_string(g_tmp_seq.fetch_add(1, std::memory_order_relaxed));
-  const int fd = open_for_write(tmp, O_WRONLY | O_CREAT | O_TRUNC);
-  if (fd < 0) return false;
-  bool ok = write_all(fd, text.data(), text.size());
-  if (ok && fsync_enabled() && fsync(fd) != 0) ok = false;
-  if (close(fd) != 0) ok = false;
-  if (ok && rename(tmp.c_str(), path.c_str()) != 0) ok = false;
-  if (!ok) unlink(tmp.c_str());
+StagedFile::StagedFile(const std::string& near)
+    : tmp_(near + ".tmp." + std::to_string(static_cast<long>(getpid())) +
+           "." +
+           std::to_string(g_tmp_seq.fetch_add(1, std::memory_order_relaxed))) {
+  fd_ = open_for_write(tmp_, O_WRONLY | O_CREAT | O_TRUNC);
+  ok_ = fd_ >= 0;
+}
+
+StagedFile::~StagedFile() {
+  if (fd_ >= 0) {
+    close(fd_);
+    unlink(tmp_.c_str());
+  }
+}
+
+bool StagedFile::append(std::string_view data) {
+  ok_ = ok_ && write_all(fd_, data.data(), data.size());
+  size_ += data.size();
+  return ok_;
+}
+
+bool StagedFile::commit(const std::string& path, const FaultDecision& d) {
+  if (d.fail) {
+    errno = EIO;
+    return false;
+  }
+  if (!ok_) return false;
+  // A torn write leaves a truncated file at the final path and reports
+  // success: what an acknowledged-but-lost write looks like to the next
+  // reader.
+  bool ok = !d.torn || static_cast<std::uint64_t>(d.torn_bytes) >= size_ ||
+            ftruncate(fd_, static_cast<off_t>(d.torn_bytes)) == 0;
+  if (ok && fsync_enabled() && fsync(fd_) != 0) ok = false;
+  if (close(fd_) != 0) ok = false;
+  fd_ = -1;
+  if (ok && rename(tmp_.c_str(), path.c_str()) != 0) ok = false;
+  if (!ok) unlink(tmp_.c_str());
   return ok;
 }
 
@@ -273,6 +280,32 @@ bool read_file(const std::string& path, std::string* out, const char* site) {
   if (d.torn && static_cast<size_t>(d.torn_bytes) < buf.size()) {
     buf.resize(static_cast<size_t>(d.torn_bytes));
   }
+  *out = std::move(buf);
+  return true;
+}
+
+bool read_range(const std::string& path, std::uint64_t offset,
+                std::size_t len, std::string* out, const char* site) {
+  const FaultDecision d = fault_point(site);
+  if (d.fail) {
+    errno = EIO;
+    return false;
+  }
+  const int fd = open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  std::string buf(len, '\0');
+  std::size_t got = 0;
+  while (got < len) {
+    const ssize_t r = pread(fd, buf.data() + got, len - got,
+                            static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  close(fd);
+  if (got < len) return false;
+  if (d.torn && static_cast<std::size_t>(d.torn_bytes) < len)
+    buf.resize(static_cast<std::size_t>(d.torn_bytes));
   *out = std::move(buf);
   return true;
 }

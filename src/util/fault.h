@@ -20,10 +20,14 @@
 // each helper consults its fault site first, then performs the real
 // operation (tmp + atomic rename for writes, with optional
 // fsync-before-rename under MBS_FSYNC=1). write_atomic writes `text`
-// verbatim — callers that want a trailing newline append it themselves.
+// verbatim — callers that want a trailing newline append it themselves;
+// StagedFile streams a file in pieces under the same discipline.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace mbs::util {
 
@@ -58,15 +62,44 @@ namespace fs {
 bool write_atomic(const std::string& path, const std::string& text,
                   const char* site);
 
-/// write_atomic with the fault decision already taken: a caller that
-/// consults its site serially and writes from several threads keeps the
-/// site's call numbering independent of thread timing.
-bool write_atomic(const std::string& path, const std::string& text,
-                  const FaultDecision& fault);
+/// A file written in pieces: appended to its own tmp file
+/// `<near>.tmp.<pid>.<seq>` (parent directories created as needed) and
+/// renamed into place by commit(), so a writer that learns the final name
+/// only at the end (a content hash) never holds the whole file. The
+/// destructor removes a tmp file that was not committed.
+class StagedFile {
+ public:
+  explicit StagedFile(const std::string& near);
+  ~StagedFile();
+  StagedFile(const StagedFile&) = delete;
+  StagedFile& operator=(const StagedFile&) = delete;
+
+  /// Appends `data`; false once the tmp file could not be created or any
+  /// write failed.
+  bool append(std::string_view data);
+
+  /// Renames the tmp file to `path`, fsync'd first under MBS_FSYNC=1.
+  /// `fault` is the decision the caller took at its site: fail writes
+  /// nothing and returns false; torn truncates the file at torn_bytes
+  /// before the rename and still reports success.
+  bool commit(const std::string& path, const FaultDecision& fault);
+
+ private:
+  std::string tmp_;
+  int fd_ = -1;
+  std::uint64_t size_ = 0;
+  bool ok_ = false;
+};
 
 /// Read all of `path` into *out. Returns false (without touching *out) on
 /// error or injected EIO.
 bool read_file(const std::string& path, std::string* out, const char* site);
+
+/// pread(2) `len` bytes at `offset` of `path` into *out. Returns false
+/// (without touching *out) on error, a file shorter than the range, or
+/// injected EIO; a torn spec truncates what is returned at torn_bytes.
+bool read_range(const std::string& path, std::uint64_t offset,
+                std::size_t len, std::string* out, const char* site);
 
 /// rename(2). Injected EIO fails the rename; a torn spec is meaningless
 /// here and treated as EIO.

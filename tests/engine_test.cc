@@ -15,6 +15,7 @@
 #include <stdexcept>
 
 #include <cstring>
+#include <limits>
 
 #include "arch/memory.h"
 #include "engine/engine.h"
@@ -793,6 +794,35 @@ TEST(Serde, RoundTripsEveryTokenKindExactly) {
   EXPECT_TRUE(r.at_end());
 }
 
+TEST(Serde, HexFloatsMatchPrintfExactly) {
+  // put_double's formatter must write exactly the bytes "%a" does: the
+  // store's content names and every golden store byte depend on it.
+  const auto check = [](double v) {
+    char want[64];
+    std::snprintf(want, sizeof want, "%a", v);
+    char got[util::serde::kHexDoubleMax];
+    const std::size_t n = util::serde::format_hex_double(v, got);
+    ASSERT_EQ(std::string(got, n), want);
+  };
+  for (double v : {0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, 1e300, 0.1,
+                   std::numeric_limits<double>::max(),
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()})
+    check(v);
+  util::Rng rng(11);
+  for (int i = 0; i < 200000; ++i) {
+    // Random bit patterns, and random doubles with short mantissas.
+    std::uint64_t bits = rng.next_u64();
+    if (i % 2) bits &= ~((std::uint64_t{1} << rng.uniform_int(53)) - 1);
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof v);
+    check(v);
+  }
+}
+
 TEST(Serde, HugeStringLengthFailsInsteadOfOverflowing) {
   // 2^64-1 would wrap the bounds arithmetic if accumulated unchecked.
   util::serde::Reader r("18446744073709551615:abc");
@@ -817,9 +847,9 @@ std::string read_bytes(const std::string& file) {
   return text.str();
 }
 
-/// Every shard entry file under the store at `path`, sorted (quarantined
-/// files excluded).
-std::vector<std::string> shard_entry_files(const std::string& path) {
+/// Every pack file under the store at `path`, sorted (quarantined packs
+/// excluded).
+std::vector<std::string> pack_files(const std::string& path) {
   std::vector<std::string> files;
   for (const auto& entry :
        std::filesystem::recursive_directory_iterator(path + ".d")) {
@@ -832,52 +862,69 @@ std::vector<std::string> shard_entry_files(const std::string& path) {
   return files;
 }
 
-/// The entry files of one stage under the store at `path`, sorted; they
-/// sit one fan-out directory below `<path>.d/<stage>`.
-std::vector<std::string> stage_entry_files(const std::string& path,
-                                           const std::string& stage) {
+/// The pack files of one stage under the store at `path`, sorted.
+std::vector<std::string> stage_pack_files(const std::string& path,
+                                          const std::string& stage) {
   std::vector<std::string> files;
-  for (const auto& entry : std::filesystem::recursive_directory_iterator(
-           path + ".d/" + stage))
+  for (const auto& entry :
+       std::filesystem::directory_iterator(path + ".d/" + stage))
     if (entry.is_regular_file()) files.push_back(entry.path().string());
   std::sort(files.begin(), files.end());
   return files;
 }
 
-/// One shard entry file split into its header fields and record body.
-struct ShardEntry {
-  std::string stamp, stage, key, body;
+/// One pack file split into its header fields and records.
+struct Pack {
+  std::string stamp, stage;
+  std::vector<std::pair<std::string, std::string>> records;  ///< key, body
 };
 
-ShardEntry read_shard_entry(const std::string& file) {
-  const std::string text = read_bytes(file);
+Pack parse_pack(const std::string& text) {
   util::serde::Reader r(text);
-  ShardEntry e;
-  EXPECT_EQ(r.read_string(), "mbs-entry");
+  Pack p;
+  EXPECT_EQ(r.read_string(), "mbs-pack");
   EXPECT_EQ(r.read_int(), CacheStore::kFormatVersion);
-  e.stamp = r.read_string();
-  e.stage = r.read_string();
-  e.key = r.read_string();
-  r.read_int();  // checksum
-  e.body = r.read_string();
-  EXPECT_FALSE(r.fail()) << file;
-  EXPECT_TRUE(r.at_end()) << file;
-  return e;
+  p.stamp = r.read_string();
+  p.stage = r.read_string();
+  const std::int64_t count = r.read_int();
+  for (std::int64_t i = 0; i < count && !r.fail(); ++i) {
+    std::string key = r.read_string();
+    r.read_int();  // checksum
+    p.records.emplace_back(std::move(key), r.read_string());
+  }
+  EXPECT_FALSE(r.fail());
+  EXPECT_TRUE(r.at_end());
+  return p;
 }
 
-/// Writes `body` under `e`'s header with a freshly computed checksum, so
-/// the bytes reach the record reader instead of stopping at the checksum.
-void write_shard_entry(const std::string& file, const ShardEntry& e,
-                       const std::string& body) {
+Pack read_pack(const std::string& file) {
+  SCOPED_TRACE(file);
+  return parse_pack(read_bytes(file));
+}
+
+/// Writes `p` to `file` with freshly computed checksums, so the bytes reach
+/// the record reader instead of stopping at the checksum.
+void write_pack(const std::string& file, const Pack& p) {
   util::serde::Writer w;
-  w.put_string("mbs-entry");
+  w.put_string("mbs-pack");
   w.put_int(CacheStore::kFormatVersion);
-  w.put_string(e.stamp);
-  w.put_string(e.stage);
-  w.put_string(e.key);
-  w.put_int(static_cast<std::int64_t>(util::fnv1a64(body)));
-  w.put_string(body);
+  w.put_string(p.stamp);
+  w.put_string(p.stage);
+  w.put_int(static_cast<std::int64_t>(p.records.size()));
+  for (const auto& [key, body] : p.records) {
+    w.put_string(key);
+    w.put_int(static_cast<std::int64_t>(util::fnv1a64(body)));
+    w.put_string(body);
+  }
   std::ofstream(file, std::ios::binary | std::ios::trunc) << w.str() << "\n";
+}
+
+/// The 16-hex-digit content name a pack with these bytes carries.
+std::string pack_name_of(const std::string& bytes) {
+  char name[32];
+  std::snprintf(name, sizeof name, "%016llx.pack",
+                static_cast<unsigned long long>(util::fnv1a64(bytes)));
+  return name;
 }
 
 TEST(CacheStore, WarmRunMatchesColdRunAndSkipsAllComputation) {
@@ -984,28 +1031,40 @@ TEST(CacheStore, VersionStampMismatchStartsCold) {
     ref = eval.step(s);
     ASSERT_TRUE(store.save());
   }
-  // Re-stamp every shard entry with the pre-attention schema stamp: same
-  // framing, valid checksum, another schema version.
-  const std::vector<std::string> files = shard_entry_files(path);
-  ASSERT_FALSE(files.empty());
-  for (const std::string& file : files) {
-    ShardEntry e = read_shard_entry(file);
-    e.stamp = "net1;sched2;traffic1;step1;gpu1;sys1;svc2";
-    write_shard_entry(file, e, e.body);
+  // Re-stamp every pack with the pre-attention schema stamp: same framing,
+  // valid checksums, another schema version, named by its new content as
+  // that version's writer would have named it.
+  std::map<std::string, std::string> stale_bytes;
+  for (const std::string& file : pack_files(path)) {
+    Pack p = read_pack(file);
+    p.stamp = "net1;sched2;traffic1;step1;gpu1;sys1;svc2";
+    write_pack(file, p);
+    const std::string bytes = read_bytes(file);
+    const std::string named =
+        std::filesystem::path(file).replace_filename(pack_name_of(bytes));
+    std::filesystem::rename(file, named);
+    stale_bytes[named] = bytes;
   }
+  const std::vector<std::string> files = pack_files(path);
+  ASSERT_EQ(files.size(), stale_bytes.size());
   CacheStore stale(path);
   Evaluator eval(&stale);
   EXPECT_TRUE(step_equal(eval.step(s), ref));
   EXPECT_EQ(stale.loaded_entries(), 0u);  // every entry missed
-  // Another stamp is a plain miss, not corruption: the files stay put.
+  // Another stamp is a plain miss, not corruption: the packs stay put.
   EXPECT_EQ(stale.corrupt_entries(), 0u);
-  EXPECT_EQ(shard_entry_files(path), files);
+  EXPECT_EQ(pack_files(path), files);
   const EvaluatorStats stats = eval.stats();
   EXPECT_EQ(stats.step_disk_hits, 0);
   EXPECT_EQ(stats.step_misses, 1);
-  // The recomputed entries overwrite the re-stamped files on save.
+  // The recomputed entries go to new packs beside the stale ones, which
+  // are left byte for byte as they were.
   EXPECT_TRUE(stale.dirty());
   ASSERT_TRUE(stale.save());
+  const std::vector<std::string> after = pack_files(path);
+  EXPECT_EQ(after.size(), 2 * files.size());
+  for (const auto& [file, bytes] : stale_bytes)
+    EXPECT_EQ(read_bytes(file), bytes) << file;
   CacheStore reloaded(path);
   sim::StepResult out;
   EXPECT_TRUE(reloaded.load_step(s.cache_key(), &out));
@@ -1185,31 +1244,31 @@ TEST(CacheStore, SystolicEntriesPersistAndWarmStartFromDisk) {
   std::remove(path.c_str());
 }
 
-TEST(CacheStore, CorruptShardEntryMissesOnlyThatKey) {
+/// Saves the steps of `a` and `b` to the store at `path` in two saves, so
+/// each sits in its own step pack.
+void save_steps_in_two_packs(const std::string& path, const Scenario& a,
+                             const Scenario& b) {
+  CacheStore store(path);
+  Evaluator eval(&store);
+  eval.step(a);
+  ASSERT_TRUE(store.save());
+  eval.step(b);
+  ASSERT_TRUE(store.save());
+  ASSERT_EQ(stage_pack_files(path, "step").size(), 2u);
+}
+
+TEST(CacheStore, CorruptPackMissesOnlyItsKeys) {
   const std::string dir = test_cache_dir("shard_corrupt");
   const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
 
   const Scenario a = mbs2_scenario("alexnet");
   const Scenario b = mbs2_scenario("resnet50");
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    eval.step(a);
-    eval.step(b);
-    ASSERT_TRUE(store.save());
-  }
-  // Truncate one per-entry file mid-token. The sharded layout must degrade
-  // per key: the mangled entry misses (and is recomputed), every other
-  // entry still loads warm — no single bad byte cold-starts the store.
-  {
-    std::size_t mangled = 0;
-    for (const std::string& victim : stage_entry_files(path, "step")) {
-      std::filesystem::resize_file(victim, 24);
-      ++mangled;
-      break;
-    }
-    ASSERT_EQ(mangled, 1u);
-  }
+  save_steps_in_two_packs(path, a, b);
+  // Truncate one pack mid-token. The store must degrade per pack: the
+  // mangled pack's key misses (and is recomputed), every other pack still
+  // loads warm — no single bad byte cold-starts the store.
+  std::filesystem::resize_file(stage_pack_files(path, "step")[0], 24);
   CacheStore store(path);
   sim::StepResult out_a, out_b;
   const bool a_ok = store.load_step(a.cache_key(), &out_a);
@@ -1220,28 +1279,18 @@ TEST(CacheStore, CorruptShardEntryMissesOnlyThatKey) {
   std::remove(path.c_str());
 }
 
-TEST(CacheStore, BadChecksumEntryIsQuarantinedAndMissesOnlyThatKey) {
+TEST(CacheStore, BadChecksumPackIsQuarantinedAndMissesOnlyItsKeys) {
   const std::string dir = test_cache_dir("cks_corrupt");
   const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
 
   const Scenario a = mbs2_scenario("alexnet");
   const Scenario b = mbs2_scenario("resnet50");
-  {
-    CacheStore store(path);
-    Evaluator eval(&store);
-    eval.step(a);
-    eval.step(b);
-    ASSERT_TRUE(store.save());
-  }
+  save_steps_in_two_packs(path, a, b);
   // Flip one byte deep inside a record body: the length prefix still
   // parses, the tokens may even still parse — only the checksum can catch
-  // this. The damaged entry must miss AND be quarantined, not deleted.
-  std::string victim;
-  for (const std::string& file : stage_entry_files(path, "step")) {
-    victim = file;
-    break;
-  }
-  ASSERT_FALSE(victim.empty());
+  // this. The damaged pack must miss AND be quarantined, not deleted.
+  const std::string victim = stage_pack_files(path, "step")[0];
   {
     std::ifstream in(victim, std::ios::binary);
     std::ostringstream text;
@@ -1258,11 +1307,13 @@ TEST(CacheStore, BadChecksumEntryIsQuarantinedAndMissesOnlyThatKey) {
   EXPECT_NE(a_ok, b_ok);  // exactly the damaged key misses
   EXPECT_EQ(store.corrupt_entries(), 1u);
   EXPECT_FALSE(std::filesystem::exists(victim));  // moved, not left behind
-  std::size_t quarantined = 0;
+  std::vector<std::string> quarantined;
   for (const auto& entry :
        std::filesystem::directory_iterator(path + ".d/quarantine"))
-    if (entry.is_regular_file()) ++quarantined;
-  EXPECT_EQ(quarantined, 1u);
+    quarantined.push_back(entry.path().filename().string());
+  ASSERT_EQ(quarantined.size(), 1u);
+  EXPECT_EQ(quarantined[0],
+            "step." + std::filesystem::path(victim).filename().string());
   std::filesystem::remove_all(dir);
 }
 
@@ -1277,22 +1328,12 @@ TEST(CacheStore, WrongStageHeaderIsQuarantined) {
     evaluate_scenario(s, eval);  // warms every stage incl. traffic
     ASSERT_TRUE(store.save());
   }
-  // Cross-wire the tiers: drop a step-stage record where a traffic-stage
-  // record should be (a misdirected rename / cosmic rename target). The
+  // Cross-wire the tiers: drop a step-stage pack where a traffic-stage
+  // pack should be (a misdirected rename / cosmic rename target). The
   // stage token in the header disagrees with the directory — quarantine,
   // never deserialize a step body as traffic.
-  std::string step_rec;
-  for (const std::string& file : stage_entry_files(path, "step")) {
-    step_rec = file;
-    break;
-  }
-  ASSERT_FALSE(step_rec.empty());
-  std::string traffic_rec;
-  for (const std::string& file : stage_entry_files(path, "traffic")) {
-    traffic_rec = file;
-    break;
-  }
-  ASSERT_FALSE(traffic_rec.empty());
+  const std::string step_rec = stage_pack_files(path, "step").at(0);
+  const std::string traffic_rec = stage_pack_files(path, "traffic").at(0);
   std::filesystem::copy_file(
       step_rec, traffic_rec,
       std::filesystem::copy_options::overwrite_existing);
@@ -1305,7 +1346,7 @@ TEST(CacheStore, WrongStageHeaderIsQuarantined) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CacheStore, ZeroLengthShardFileMissesCleanly) {
+TEST(CacheStore, ZeroLengthPackMissesCleanly) {
   const std::string dir = test_cache_dir("zero_len");
   const std::string path = dir + "/evaluator.mbscache";
 
@@ -1319,7 +1360,7 @@ TEST(CacheStore, ZeroLengthShardFileMissesCleanly) {
   // A crash between open and first write leaves a zero-length file (the
   // one layout the tmp+rename discipline cannot rule out under torn-write
   // injection). It must read as a clean miss and recompute warm.
-  for (const std::string& file : stage_entry_files(path, "step"))
+  for (const std::string& file : stage_pack_files(path, "step"))
     std::filesystem::resize_file(file, 0);
 
   CacheStore store(path);
@@ -1343,10 +1384,11 @@ TEST(CacheStore, HugeLayerCountIsQuarantinedNotAllocated) {
     eval.network(s);
     ASSERT_TRUE(store.save());
   }
-  const std::vector<std::string> files = shard_entry_files(path);
+  const std::vector<std::string> files = pack_files(path);
   ASSERT_EQ(files.size(), 1u);
-  ShardEntry e = read_shard_entry(files[0]);
-  ASSERT_EQ(e.stage, "net");
+  Pack pack = read_pack(files[0]);
+  ASSERT_EQ(pack.stage, "net");
+  ASSERT_EQ(pack.records.size(), 1u);
   // A checksum-valid network record whose one branch claims 4e18 layers.
   // The count must not size an allocation: the reader stops at the first
   // missing layer and the entry is quarantined as a parse failure.
@@ -1359,13 +1401,14 @@ TEST(CacheStore, HugeLayerCountIsQuarantinedNotAllocated) {
   for (int v : {3, 227, 227, 3, 227, 227}) body.put_int(v);  // in, out
   body.put_int(1);                    // branches
   body.put_int(4000000000000000000);  // the branch's layer count
-  write_shard_entry(files[0], e, body.str());
+  pack.records[0].second = body.str();
+  write_pack(files[0], pack);
 
   CacheStore store(path);
   core::Network out;
-  EXPECT_FALSE(store.load_network(e.key, &out));
+  EXPECT_FALSE(store.load_network(pack.records[0].first, &out));
   EXPECT_EQ(store.corrupt_entries(), 1u);
-  EXPECT_TRUE(shard_entry_files(path).empty());  // moved to quarantine
+  EXPECT_TRUE(pack_files(path).empty());  // moved to quarantine
   std::filesystem::remove_all(dir);
 }
 
@@ -1435,7 +1478,7 @@ std::string mutate_body(const std::string& body, util::Rng& rng) {
   return out;
 }
 
-TEST(CacheStore, MutatedShardEntriesLoadOrQuarantineWithoutCrashing) {
+TEST(CacheStore, MutatedRecordBodiesLoadOrQuarantineWithoutCrashing) {
   const std::string dir = test_cache_dir("mutate");
   const std::string path = dir + "/evaluator.mbscache";
   const std::string copy_path = dir + "/copy.mbscache";
@@ -1453,18 +1496,20 @@ TEST(CacheStore, MutatedShardEntriesLoadOrQuarantineWithoutCrashing) {
     }
     ASSERT_TRUE(store.save());
   }
-  std::map<std::string, std::string> by_stage;  // stage -> first file
-  for (const std::string& file : shard_entry_files(path))
-    by_stage.emplace(read_shard_entry(file).stage, file);
+  std::map<std::string, std::string> by_stage;  // stage -> its one pack
+  for (const std::string& file : pack_files(path))
+    by_stage.emplace(read_pack(file).stage, file);
   ASSERT_EQ(by_stage.size(), 6u);
 
-  // Unmutated entries round-trip write -> read -> write byte-identically.
+  // Unmutated packs round-trip write -> read -> write byte-identically,
+  // under the same content names.
   {
     CacheStore from(path);
     CacheStore to(copy_path);
     for (const auto& [stage, file] : by_stage) {
-      const ShardEntry e = read_shard_entry(file);
-      ASSERT_TRUE(load_stage(stage, from, e.key, &to)) << stage;
+      const Pack p = read_pack(file);
+      ASSERT_EQ(p.records.size(), 1u) << stage;
+      ASSERT_TRUE(load_stage(stage, from, p.records[0].first, &to)) << stage;
     }
     ASSERT_TRUE(to.save());
     for (const auto& [stage, file] : by_stage) {
@@ -1474,22 +1519,125 @@ TEST(CacheStore, MutatedShardEntriesLoadOrQuarantineWithoutCrashing) {
     }
   }
 
-  // Mutated, re-checksummed bodies: every load returns, and an entry that
-  // does not parse is quarantined rather than served or left in place.
+  // Mutated, re-checksummed bodies: every load returns, and a record that
+  // does not parse quarantines its pack rather than being served or left in
+  // place.
   util::Rng rng(42);
   constexpr int kMutationsPerStage = 150;
   for (const auto& [stage, file] : by_stage) {
-    const ShardEntry e = read_shard_entry(file);
+    const Pack clean = read_pack(file);
+    const std::string& key = clean.records[0].first;
     int quarantined = 0;
     for (int i = 0; i < kMutationsPerStage; ++i) {
-      write_shard_entry(file, e, mutate_body(e.body, rng));
+      Pack p = clean;
+      p.records[0].second = mutate_body(p.records[0].second, rng);
+      write_pack(file, p);
       CacheStore store(path);
-      const bool hit = load_stage(stage, store, e.key);
+      const bool hit = load_stage(stage, store, key);
       EXPECT_EQ(store.corrupt_entries(), hit ? 0u : 1u) << stage << " " << i;
       quarantined += hit ? 0 : 1;
     }
     EXPECT_GT(quarantined, 0) << stage;
-    write_shard_entry(file, e, e.body);
+    write_pack(file, clean);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Splices a run of 1-20 random digits over a random digit run of `bytes`:
+/// a count, a length prefix, a checksum or a body integer, pushed past
+/// int64 or past any file size.
+std::string splice_digits(const std::string& bytes, util::Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // [at, end)
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::size_t from = bytes.find_first_of("0123456789", at);
+    if (from == std::string::npos) break;
+    const std::size_t end =
+        std::min(bytes.find_first_not_of("0123456789", from), bytes.size());
+    runs.emplace_back(from, end);
+    at = end;
+  }
+  std::string out = bytes;
+  const auto [at, end] = runs[rng.uniform_int(runs.size())];
+  std::string digits(1 + rng.uniform_int(20), '0');
+  for (char& c : digits) c = static_cast<char>('0' + rng.uniform_int(10));
+  out.replace(at, end - at, digits);
+  return out;
+}
+
+TEST(CacheStore, MutatedPacksScanOrQuarantineWithoutCrashing) {
+  const std::string dir = test_cache_dir("mutate_pack");
+  const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
+
+  // Three records per stage, so the scanner skips bodies between keys.
+  {
+    CacheStore store(path);
+    Evaluator eval(&store);
+    for (const char* net : {"alexnet", "resnet50", "vit_small"}) {
+      Scenario s = mbs2_scenario(net);
+      for (const Device d :
+           {Device::kWaveCore, Device::kGpu, Device::kSystolic}) {
+        s.device = d;
+        evaluate_scenario(s, eval);
+      }
+    }
+    ASSERT_TRUE(store.save());
+  }
+  std::map<std::string, std::string> by_stage;  // stage -> its one pack
+  for (const std::string& file : pack_files(path))
+    by_stage.emplace(read_pack(file).stage, file);
+  ASSERT_EQ(by_stage.size(), 6u);
+
+  // Raw damage to the whole pack: truncation, a bit flip, a spliced digit
+  // run, or another schema stamp. Every load returns; a pack under another
+  // stamp is a plain miss left in place; any other pack that fails
+  // validation is quarantined whole, after which none of its keys hit.
+  util::Rng rng(7);
+  constexpr int kMutationsPerStage = 200;
+  for (const auto& [stage, file] : by_stage) {
+    const std::string clean = read_bytes(file);
+    const Pack pack = read_pack(file);
+    ASSERT_EQ(pack.records.size(), 3u) << stage;
+    int quarantined = 0, restamped = 0;
+    for (int i = 0; i < kMutationsPerStage; ++i) {
+      SCOPED_TRACE(stage + " mutation " + std::to_string(i));
+      const std::uint64_t kind = rng.uniform_int(4);
+      if (kind == 3) {
+        Pack p = pack;
+        p.stamp = rng.uniform_int(2) ? "" : "net1;sched2;traffic1;svc1";
+        write_pack(file, p);
+      } else {
+        std::string bytes = clean;
+        if (kind == 0)
+          bytes.resize(rng.uniform_int(bytes.size()));
+        else if (kind == 1)
+          bytes[rng.uniform_int(bytes.size())] ^=
+              static_cast<char>(1u << rng.uniform_int(8));
+        else
+          bytes = splice_digits(bytes, rng);
+        std::ofstream(file, std::ios::binary | std::ios::trunc) << bytes;
+      }
+      CacheStore store(path);
+      for (const auto& [key, body] : pack.records) {
+        const std::size_t corrupt_before = store.corrupt_entries();
+        const bool hit = load_stage(stage, store, key);
+        EXPECT_LE(store.corrupt_entries(), 1u);
+        if (hit) {
+          EXPECT_EQ(store.corrupt_entries(), corrupt_before);
+          EXPECT_EQ(corrupt_before, 0u);
+        }
+      }
+      if (kind == 3) {
+        EXPECT_EQ(store.corrupt_entries(), 0u);
+        EXPECT_TRUE(std::filesystem::exists(file));
+        EXPECT_EQ(store.loaded_entries(), 0u);
+        ++restamped;
+      }
+      quarantined += static_cast<int>(store.corrupt_entries());
+    }
+    EXPECT_GT(quarantined, 0);
+    EXPECT_GT(restamped, 0);
+    std::ofstream(file, std::ios::binary | std::ios::trunc) << clean;
   }
   std::filesystem::remove_all(dir);
 }
@@ -1552,6 +1700,38 @@ TEST(CacheStore, TwoStoresOverOnePathShareEntriesThroughShardDir) {
   std::filesystem::remove_all(path + ".d");
 }
 
+TEST(CacheStore, HandleThatMissedAKeyHitsItAfterAPeerSaves) {
+  // The spool property: a worker's materialization pass must see packs its
+  // peers saved after the worker's own first miss, without reopening.
+  const std::string dir = test_cache_dir("peer_saves");
+  const std::string path = dir + "/evaluator.mbscache";
+  std::filesystem::remove_all(dir);
+
+  const Scenario a = mbs2_scenario("alexnet");
+  const Scenario b = mbs2_scenario("resnet50");
+  const auto peer_saves = [&](const Scenario& s) {
+    CacheStore peer(path);
+    Evaluator eval(&peer);
+    const sim::StepResult ref = eval.step(s);
+    EXPECT_TRUE(peer.save());
+    return ref;
+  };
+  CacheStore reader(path);
+  sim::StepResult out;
+  EXPECT_FALSE(reader.load_step(a.cache_key(), &out));  // nothing on disk
+  const sim::StepResult ref_a = peer_saves(a);
+  ASSERT_TRUE(reader.load_step(a.cache_key(), &out));
+  EXPECT_TRUE(step_equal(out, ref_a));
+  // Once the stage is indexed, a miss still picks up a newer pack.
+  EXPECT_FALSE(reader.load_step(b.cache_key(), &out));
+  const sim::StepResult ref_b = peer_saves(b);
+  ASSERT_TRUE(reader.load_step(b.cache_key(), &out));
+  EXPECT_TRUE(step_equal(out, ref_b));
+  EXPECT_EQ(reader.loaded_entries(), 2u);
+  EXPECT_EQ(reader.corrupt_entries(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
 /// Enough scenarios for a multi-lane save: three networks x the Tab. 3
 /// configs x four buffers, on WaveCore and the systolic backend.
 std::vector<Scenario> save_lane_grid() {
@@ -1612,35 +1792,34 @@ TEST(CacheStore, SaveAtBudgetsOneAndFourWritesIdenticalTrees) {
   const auto lanes = saved_store_tree(dir, 4, "", &ok4);
   EXPECT_TRUE(ok1);
   EXPECT_TRUE(ok4);
-  EXPECT_GE(serial.size(), 4u * 64u);
   EXPECT_TRUE(serial == lanes);
-  // Every entry sits in the fan-out directory named by its hash's first
-  // hex digit: /<stage>/<h[0]>/<h>.rec.
+  // One pack per stage the grid touched (net, sched, traffic, step, sys),
+  // each at /<stage>/<h>.pack where h is the hash of its own bytes.
+  EXPECT_EQ(serial.size(), 5u);
   for (const auto& [rel, bytes] : serial) {
     const std::size_t name = rel.rfind('/');
     ASSERT_NE(name, std::string::npos);
-    ASSERT_GE(name, 2u);
-    EXPECT_EQ(rel[name - 2], '/') << rel;
-    EXPECT_EQ(rel[name - 1], rel[name + 1]) << rel;
+    EXPECT_EQ(rel.substr(name + 1), pack_name_of(bytes)) << rel;
+    EXPECT_EQ(rel.substr(1, name - 1), parse_pack(bytes).stage);
   }
 }
 
-TEST(CacheStore, WriteFaultHitsTheSameEntryAtEveryThreadBudget) {
+TEST(CacheStore, WriteFaultHitsTheSamePackAtEveryThreadBudget) {
   const std::string dir = test_cache_dir("save_faults");
   ::setenv("MBS_CACHE_SAVE_RETRIES", "0", 1);
   bool ok = false;
   const auto clean = saved_store_tree(dir, 1, "", &ok);
   ASSERT_TRUE(ok);
   for (const std::string spec :
-       {"cache.entry.write:fail@100", "cache.entry.write:torn@150/40"}) {
+       {"cache.pack.write:fail@3", "cache.pack.write:torn@4/40"}) {
     SCOPED_TRACE(spec);
     bool ok1 = true, ok4 = true;
     const auto serial = saved_store_tree(dir, 1, spec, &ok1);
     const auto lanes = saved_store_tree(dir, 4, spec, &ok4);
     EXPECT_TRUE(serial == lanes);
     const bool torn = spec.find("torn") != std::string::npos;
-    // fail@N leaves the Nth entry unwritten; torn@N/B leaves its first B
-    // bytes and reports success.
+    // fail@N leaves the Nth pack unwritten; torn@N/B leaves its first B
+    // bytes under its full content name and reports success.
     EXPECT_EQ(ok1, torn);
     EXPECT_EQ(ok4, torn);
     std::vector<std::string> hit;

@@ -594,9 +594,9 @@ TEST_F(FaultTest, InjectedEioFailsTheOperationCleanly) {
 TEST_F(FaultTest, SaveRetriesPastATransientWriteFailure) {
   const std::string dir = test_dir("fault_retry");
   ::setenv("MBS_CACHE_RETRY_MS", "1", 1);
-  // First write attempt per entry can fail: the bounded retry must land
-  // the entry anyway, and a reload must see it.
-  ASSERT_TRUE(util::fault_arm("cache.entry.write:fail@1"));
+  // The first pack write attempt fails: the bounded retry must land the
+  // pack anyway, and a reload must see it.
+  ASSERT_TRUE(util::fault_arm("cache.pack.write:fail@1"));
   const Scenario s = mbs2_scenario("alexnet");
   {
     CacheStore store(dir + "/evaluator.mbscache");
@@ -657,11 +657,10 @@ TEST(ServeCore, CorruptStoreEntryDegradesGracefullyToRecompute) {
     evaluate_scenario(s, eval);
     ASSERT_TRUE(store.save());
   }
-  // Flip a byte in every step-stage record: the serve path must detect the
-  // damage (checksum), quarantine, recompute, and still answer correctly.
+  // Flip a byte in every step pack: the serve path must detect the damage
+  // (checksum), quarantine the pack, recompute, and still answer correctly.
   std::size_t flipped = 0;
-  for (const auto& e : fs::recursive_directory_iterator(path + ".d/step")) {
-    if (!e.is_regular_file()) continue;
+  for (const auto& e : fs::directory_iterator(path + ".d/step")) {
     std::string bytes = slurp(e.path().string());
     ASSERT_GT(bytes.size(), 40u);
     // Near the end: inside the record body, where only the checksum (not a
@@ -681,8 +680,14 @@ TEST(ServeCore, CorruptStoreEntryDegradesGracefullyToRecompute) {
   EXPECT_EQ(st.errors, 0u);
   EXPECT_EQ(st.degraded, 1u);
   EXPECT_GT(store.corrupt_entries(), 0u);
-  // The damaged record was quarantined, not deleted or left in place.
-  EXPECT_TRUE(fs::exists(path + ".d/quarantine"));
+  // The damaged pack was quarantined, not deleted or left in place (the
+  // recomputed step was written through to a fresh pack).
+  std::size_t quarantined = 0;
+  for (const auto& e : fs::directory_iterator(path + ".d/quarantine")) {
+    EXPECT_EQ(e.path().filename().string().rfind("step.", 0), 0u);
+    ++quarantined;
+  }
+  EXPECT_EQ(quarantined, flipped);
   fs::remove_all(dir);
 }
 
